@@ -17,15 +17,23 @@ one timeline touching a common key, at least one writing, with no directed
 path between them in either direction, race: nothing in the schedule stops
 a reordering from exposing stale or half-written data.
 
-Every HB edge points forward in simulated time (a successor never starts
-before its predecessor ends), so reachability searches prune any node
-starting after the target.
+Edges point from earlier to later submissions and uids come from one
+process-wide counter, so uid order is a topological order of the HB graph.
+:func:`check_hb_races` sweeps each ``(timeline, key)`` once in uid order,
+FastTrack-style (Flanagan & Freund, PLDI 2009): a read is checked against
+the last write; a write against the reads since the last write (or, with
+none, the last write itself), after which the read set is cleared.  If every
+check finds a path, transitivity orders all conflicting pairs, at a cost of
+at most two reachability queries per access.  A violation names the failed
+check's pair, earlier submission first.  Edges also point forward in
+simulated time, so a search prunes nodes submitted or starting after its
+target.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .base import ExecutionArtifacts, Violation
 
@@ -71,8 +79,8 @@ def _reaches(
         uid = frontier.pop()
         if uid == target:
             return True
-        for nxt in successors.get(uid, ()):  # edges move forward in time
-            if nxt in seen:
+        for nxt in successors.get(uid, ()):
+            if nxt in seen or nxt > target:
                 continue
             nxt_op = ops_by_uid.get(nxt)
             if nxt_op is None or nxt_op.start > target_start:
@@ -80,17 +88,6 @@ def _reaches(
             seen.add(nxt)
             frontier.append(nxt)
     return False
-
-
-def ordered(
-    a: int,
-    b: int,
-    ops_by_uid: Dict[int, object],
-    successors: Dict[int, List[int]],
-) -> bool:
-    """Is there an HB path between the two ops, in either direction?"""
-    first, second = (a, b) if ops_by_uid[a].start <= ops_by_uid[b].start else (b, a)
-    return _reaches(first, second, ops_by_uid, successors)
 
 
 def _accesses(
@@ -114,27 +111,24 @@ def _accesses(
 def check_hb_races(
     artifacts: ExecutionArtifacts, spec: Optional[object] = None
 ) -> List[Violation]:
-    """Flag annotated-access pairs with no ordering path between them."""
+    """Flag annotated accesses with no ordering path to a conflicting one."""
     ops_by_uid, successors = build_hb_graph(artifacts.timelines)
-    accesses = _accesses(artifacts.timelines)
     domains = {name: domain for name, domain, _ in artifacts.timelines}
     violations: List[Violation] = []
-    seen_pairs: Set[Tuple[int, int]] = set()
-    for (name, key), ops in sorted(accesses.items(), key=lambda kv: str(kv[0])):
-        writers = [uid for uid, is_write in ops if is_write]
-        if not writers:
-            continue
-        readers = [uid for uid, is_write in ops if not is_write]
-        for writer in writers:
-            others = [uid for uid in writers if uid != writer] + readers
-            for other in others:
-                pair = (min(writer, other), max(writer, other))
-                if pair in seen_pairs:
+    for (name, key), ops in sorted(
+        _accesses(artifacts.timelines).items(), key=lambda kv: str(kv[0])
+    ):
+        last_write: Optional[int] = None
+        reads_since: List[int] = []
+        for uid, is_write in sorted(set(ops)):
+            if is_write and reads_since:
+                earlier = reads_since
+            else:
+                earlier = [] if last_write is None else [last_write]
+            for prev in earlier:
+                if prev == uid or _reaches(prev, uid, ops_by_uid, successors):
                     continue
-                seen_pairs.add(pair)
-                if ordered(writer, other, ops_by_uid, successors):
-                    continue
-                a, b = ops_by_uid[pair[0]], ops_by_uid[pair[1]]
+                a, b = ops_by_uid[prev], ops_by_uid[uid]
                 violations.append(
                     Violation(
                         check="hb-race",
@@ -165,4 +159,8 @@ def check_hb_races(
                         )
                     )
                     return violations
+            if is_write:
+                last_write, reads_since = uid, []
+            else:
+                reads_since.append(uid)
     return violations

@@ -2,7 +2,14 @@
 
 from __future__ import annotations
 
-from repro.analysis import ExecutionArtifacts
+import re
+from collections import defaultdict
+from unittest import mock
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.analysis import ExecutionArtifacts, hb
 from repro.analysis.hb import MAX_RACES_REPORTED, check_hb_races
 from repro.gpu import Timeline
 
@@ -104,12 +111,35 @@ class TestSeededRaces:
         assert check_hb_races(artifacts_of(t0, t1)) == []
 
     def test_cross_timeline_dependency_edges_order(self):
-        # p2p-style edge: the recv on t1 depends on the send on t0; an op
-        # gated behind the recv is ordered after everything before the send.
-        t0, t1 = Timeline(), Timeline()
-        send = submit(t0, "send", resource="cpu", stream="comm")
-        recv = submit(t1, "recv", resource="cpu", stream="comm", deps=[send])
-        assert recv.deps == (send.uid,)
+        # p2p-style edge: the recv on t1 depends on the send on t0, so an op
+        # on t0 gated behind t1's work is ordered after everything before
+        # the send.
+        def run(gate_reader):
+            t0, t1 = Timeline(), Timeline()
+            submit(t0, "w", resource="cpu", stream="s", writes=["k"])
+            send = submit(t0, "send", resource="pcie_d2h", stream="s")
+            recv = submit(t1, "recv", resource="cpu", stream="comm",
+                          deps=[send])
+            x = submit(t1, "x", resource="compute", stream="comm",
+                       deps=[recv])
+            submit(t0, "r", resource="pcie_h2d", stream="copy",
+                   deps=[x] if gate_reader else None, reads=["k"])
+            return check_hb_races(artifacts_of(t0, t1))
+
+        assert run(gate_reader=True) == []
+        violations = run(gate_reader=False)
+        assert len(violations) == 1
+        assert "'w'" in violations[0].message and "'r'" in violations[0].message
+        assert violations[0].source == "gpu0"
+
+    def test_zero_duration_reader_then_writer_on_one_stream(self):
+        # Regression: both ops start at t=0; the search must run from the
+        # earlier submission, not from whichever op sorts first by start.
+        timeline = Timeline()
+        submit(timeline, "r", resource="cpu", stream="s", duration=0.0,
+               reads=["k"])
+        submit(timeline, "w", resource="pcie_h2d", stream="s", writes=["k"])
+        assert check_hb_races(artifacts_of(timeline)) == []
 
     def test_flood_reports_digest_after_cap(self):
         timeline = Timeline()
@@ -120,3 +150,131 @@ class TestSeededRaces:
         violations = check_hb_races(artifacts_of(timeline))
         assert len(violations) == MAX_RACES_REPORTED + 1
         assert "stopped after" in violations[-1].message
+
+
+class TestLinearCost:
+    def test_reachability_queries_at_most_one_per_access(self, monkeypatch):
+        calls = []
+        reaches = hb._reaches
+
+        def counting(*args):
+            calls.append(args[:2])
+            return reaches(*args)
+
+        monkeypatch.setattr(hb, "_reaches", counting)
+        timeline = Timeline()
+        writers = 2000
+        reader = None
+        for i in range(writers):
+            w = submit(timeline, f"w{i}", resource="cpu", stream="write",
+                       deps=[reader] if reader is not None else None,
+                       writes=["k"])
+            if i < writers - 1:
+                reader = submit(timeline, f"r{i}", resource="pcie_h2d",
+                                stream="read", deps=[w], reads=["k"])
+        accesses = 2 * writers - 1
+        assert check_hb_races(artifacts_of(timeline)) == []
+        assert 0 < len(calls) <= accesses
+
+
+# -- property test against a brute-force oracle ------------------------------
+
+_MESSAGE = re.compile(r"^(\w+): '(op\d+)' .* and '(op\d+)' .* both touch '(\w+)'")
+_KEYS = ("k0", "k1", "k2")
+
+
+@st.composite
+def _schedules(draw):
+    """Random op specs; a wide engine/stream pool leaves most ops unordered."""
+    width = draw(st.integers(1, 40))
+    lane = st.integers(0, width - 1)
+    return draw(st.lists(st.fixed_dictionaries({
+        "timeline": st.integers(0, 2),
+        "resource": lane.map(lambda i: f"r{i}"),
+        "stream": lane.map(lambda i: f"s{i}"),
+        "duration": st.sampled_from([0.0, 0.0, 0.5, 1.0, 2.0]),
+        "deps": st.lists(st.integers(0, 1_000), max_size=2),
+        "reads": st.lists(st.sampled_from(_KEYS), max_size=2),
+        "writes": st.lists(st.sampled_from(_KEYS), max_size=2),
+    }), min_size=1, max_size=80))
+
+
+def _build(specs):
+    num_timelines = max(spec["timeline"] for spec in specs) + 1
+    timelines = [Timeline() for _ in range(num_timelines)]
+    ops = []
+    for i, spec in enumerate(specs):
+        deps = [ops[d] for d in sorted({d % i for d in spec["deps"]})] if i else []
+        ops.append(submit(
+            timelines[spec["timeline"]], f"op{i}",
+            resource=spec["resource"], stream=spec["stream"],
+            duration=spec["duration"], deps=deps or None,
+            reads=spec["reads"], writes=spec["writes"],
+        ))
+    return timelines
+
+
+def _oracle_races(timelines):
+    """Every conflicting pair with no HB path, by BFS from every op."""
+    ops = [(f"gpu{t}", op) for t, tl in enumerate(timelines) for op in tl.ops]
+    succ = defaultdict(set)
+    for tl in timelines:
+        tl_ops = tl.ops
+        for j, later in enumerate(tl_ops):
+            for dep in later.deps:
+                succ[dep].add(later.uid)
+            for earlier in tl_ops[:j]:
+                if earlier.stream == later.stream or earlier.resource == later.resource:
+                    succ[earlier.uid].add(later.uid)
+
+    def reachable(uid):
+        seen, frontier = set(), [uid]
+        while frontier:
+            for nxt in succ[frontier.pop()]:
+                if nxt not in seen:
+                    seen.add(nxt)
+                    frontier.append(nxt)
+        return seen
+
+    def touched(op):
+        return set(op.attrs.get("hb_reads", ())), set(op.attrs.get("hb_writes", ()))
+
+    closure = {op.uid: reachable(op.uid) for _, op in ops}
+    races = set()
+    for name, a in ops:
+        for other_name, b in ops:
+            if other_name != name or a.uid >= b.uid:
+                continue
+            if b.uid in closure[a.uid] or a.uid in closure[b.uid]:
+                continue
+            (a_reads, a_writes), (b_reads, b_writes) = touched(a), touched(b)
+            for key in (a_writes & (b_reads | b_writes)) | (b_writes & a_reads):
+                races.add((name, key, a.label, b.label))
+    return races
+
+
+class TestAgainstOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(specs=_schedules())
+    def test_sweep_matches_all_pairs_oracle(self, specs):
+        artifacts = artifacts_of(*_build(specs))
+        oracle = _oracle_races([tl for _, _, tl in artifacts.timelines])
+        with mock.patch.object(hb, "MAX_RACES_REPORTED", 10**9):
+            full = check_hb_races(artifacts)
+        capped = check_hb_races(artifacts)
+
+        assert (capped == []) == (not oracle)
+        reported = set()
+        for v in full:
+            name, a, b, key = _MESSAGE.match(v.message).groups()
+            assert v.source == name
+            assert (name, key, a, b) in oracle
+            reported.add((name, key, a, b))
+        assert {(n, k) for n, k, _, _ in reported} == {(n, k) for n, k, _, _ in oracle}
+
+        if len(full) >= MAX_RACES_REPORTED:
+            assert len(capped) == MAX_RACES_REPORTED + 1
+            assert capped[:-1] == full[:MAX_RACES_REPORTED]
+            assert "stopped after" in capped[-1].message
+        else:
+            assert capped == full
