@@ -14,16 +14,15 @@ so the same two runs work from the command line::
     python -m repro run pygt-baseline
     python -m repro run pipad-single
 
-Migrating from the old entry points:
+Hand-wired construction and its spec equivalent:
 
 ==============================================  =====================================
-old                                             new
+hand-wired                                      spec
 ==============================================  =====================================
 ``PyGTTrainer(graph, cfg).train()``             ``Engine.from_spec(RunSpec(method="pygt", ...)).train()``
-``make_trainer("pipad", graph, cfg, ...)``      ``Engine.from_spec(RunSpec(method="pipad", ...))``
 ``PiPADTrainer(graph, cfg, pipad_cfg)``         ``RunSpec(method="pipad", pipad={...overrides...})``
 ``DistributedTrainer(graph, cfg, pc, dc)``      ``RunSpec(device={"kind": "group", "num_devices": K})``
-``build_serving_engine(graph, model, sc)``      ``RunSpec(serving={...}) + engine.serve()``
+``ServingScheduler(model, store, sc)``          ``RunSpec(serving={...}) + engine.serve()``
 ``build_sharded_serving_engine(...)``           ``RunSpec(serving={"kind": "sharded", "num_shards": K})``
 ==============================================  =====================================
 """

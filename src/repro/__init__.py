@@ -106,7 +106,6 @@ _LAZY_EXPORTS = {
     "EpochMetrics": "repro.baselines",
     "METHOD_ORDER": "repro.baselines",
     "list_methods": "repro.baselines",
-    "make_trainer": "repro.baselines",
     # models
     "MODEL_ORDER": "repro.nn",
     "MODEL_REGISTRY": "repro.nn",
@@ -129,7 +128,6 @@ _LAZY_EXPORTS = {
     "ServingPolicy": "repro.serving",
     "ServingReport": "repro.serving",
     "ServingScheduler": "repro.serving",
-    "build_serving_engine": "repro.serving",
     "random_delta": "repro.serving",
     "synthesize_serving_trace": "repro.serving",
     # telemetry

@@ -171,21 +171,30 @@ def lint_serving_window(spec: object) -> List[Violation]:
 
 
 def lint_prefetch_pipeline(spec: object) -> List[Violation]:
-    """Prefetch depth is silently forced to 0 when the pipeline is disabled."""
-    if spec.method != "pipad":
+    """Prefetch depth is silently forced to 0 when a pipeline is disabled.
+
+    Both ablation switches force it: ``pipad.enable_pipeline`` for the PiPAD
+    trainer and ``serving.enable_pipeline`` for every serving replica,
+    whatever the training method.
+    """
+    if spec.data.prefetch_depth == 0:
         return []
-    if spec.pipad.get("enable_pipeline", True) or spec.data.prefetch_depth == 0:
-        return []
+    switches = []
+    if spec.method == "pipad" and not spec.pipad.get("enable_pipeline", True):
+        switches.append("pipad.enable_pipeline")
+    if spec.serving is not None and not spec.serving.enable_pipeline:
+        switches.append("serving.enable_pipeline")
     return [
         Violation(
             check="spec-prefetch-pipeline",
             message=(
                 f"data.prefetch_depth ({spec.data.prefetch_depth}) has no "
-                "effect while pipad.enable_pipeline is false (the ablation "
-                "forces fully serialized prep); set the depth to 0 or "
-                "re-enable the pipeline"
+                f"effect while {switch} is false (the ablation forces fully "
+                "serialized, unpinned prep); set the depth to 0 or re-enable "
+                "the pipeline"
             ),
             severity=SEVERITY_WARNING,
             source="spec.data",
         )
+        for switch in switches
     ]

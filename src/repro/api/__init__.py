@@ -1,7 +1,7 @@
 """Unified entry layer: declarative specs, one engine, one report.
 
-Instead of five hand-wired construction idioms (``make_trainer``,
-``PiPADTrainer(...)``, ``DistributedTrainer(...)``, ``build_serving_engine``,
+Instead of hand-wiring trainers (``PiPADTrainer(...)``,
+``DistributedTrainer(...)``) and serving engines (``ServingScheduler(...)``,
 ``build_sharded_serving_engine``), every scenario is described by a
 serializable :class:`RunSpec` and executed by one :class:`Engine`:
 
@@ -18,13 +18,10 @@ Specs round-trip through dicts and JSON (``RunSpec.from_dict``, ``.to_json``,
 
 from repro.api.engine import COLLECTIVE_KEYS, Engine, RunReport
 from repro.api.registries import (
-    DATAPIPE_REGISTRY,
     DEVICE_REGISTRY,
     SERVING_REGISTRY,
-    DataPipeKind,
     DeviceKind,
     ServingKind,
-    build_pipe_config,
     build_serving,
     build_trainer,
     trainer_registry,
@@ -47,10 +44,8 @@ from repro.api.spec import (
 __all__ = [
     "AnalysisSpec",
     "COLLECTIVE_KEYS",
-    "DATAPIPE_REGISTRY",
     "DEVICE_KINDS",
     "DEVICE_REGISTRY",
-    "DataPipeKind",
     "DataSpec",
     "DeviceKind",
     "DeviceSpec",
@@ -66,7 +61,6 @@ __all__ = [
     "ServingSpec",
     "TelemetrySpec",
     "TraceSpec",
-    "build_pipe_config",
     "build_serving",
     "build_trainer",
     "trainer_registry",

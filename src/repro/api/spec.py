@@ -208,20 +208,19 @@ class TelemetrySpec(_SpecBase):
 
 @dataclass(frozen=True)
 class DataSpec(_SpecBase):
-    """Data-pipeline section of a run: stage composition and prefetching.
+    """Data-pipeline section of a run: prefetching and pinning.
 
-    Declares how partition data moves from host memory onto the device —
-    which staged pipeline variant runs (``repro.core.datapipe.
-    DATAPIPE_VARIANTS``), how many items the :class:`~repro.core.datapipe.
-    Prefetcher` may prepare ahead of the one currently computing, and whether
-    transfers stage through page-locked memory.  The engine resolves this
-    through ``repro.api.registries.DATAPIPE_REGISTRY`` into the
+    Declares how partition data moves from host memory onto the device
+    through the staged slice → gather → pin → h2d datapipe: how many items
+    the :class:`~repro.core.datapipe.Prefetcher` may prepare ahead of the one
+    currently computing, and whether transfers stage through page-locked
+    memory.  :meth:`to_pipe_config` materializes the
     :class:`~repro.core.datapipe.DataPipeConfig` every trainer and serving
     replica shares.  Scheduling-only: losses and predictions are identical
     for every setting.
     """
 
-    #: pipeline variant (``"staged"`` or the legacy ``"monolithic"``)
+    #: the datapipe; ``"staged"`` is the only pipeline (kept so specs state it)
     pipeline: str = "staged"
     #: max items prepared ahead of the one computing; 0 fully serializes
     prefetch_depth: int = 2
@@ -230,12 +229,10 @@ class DataSpec(_SpecBase):
     pin_memory: bool = True
 
     def __post_init__(self) -> None:
-        from repro.core.datapipe import DATAPIPE_VARIANTS
-
-        if self.pipeline not in DATAPIPE_VARIANTS:
+        if self.pipeline != "staged":
             raise ValueError(
-                f"unknown datapipe pipeline {self.pipeline!r}; valid pipelines: "
-                f"{_known_choices(DATAPIPE_VARIANTS)}"
+                f"unknown data.pipeline {self.pipeline!r}; 'staged' is the only "
+                "pipeline"
             )
         if not isinstance(self.prefetch_depth, int) or isinstance(
             self.prefetch_depth, bool
@@ -253,7 +250,6 @@ class DataSpec(_SpecBase):
         from repro.core.datapipe import DataPipeConfig
 
         return DataPipeConfig(
-            pipeline=self.pipeline,
             prefetch_depth=self.prefetch_depth,
             pin_memory=self.pin_memory,
         )

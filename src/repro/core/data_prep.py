@@ -10,7 +10,6 @@ extraction over the preparing epochs the same way.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -83,26 +82,7 @@ class DataPreparer:
 
     # -- public API ---------------------------------------------------------------
     def prepare(self, snapshots: Sequence[GraphSnapshot]) -> PartitionData:
-        """Prepare (or fetch from cache) the overlap decomposition of a group.
-
-        .. deprecated::
-            Build partitions through the staged datapipe instead:
-            ``repro.core.datapipe.build_datapipe(...).partition(snapshots)``
-            (the engine resolves ``RunSpec.data`` through
-            ``repro.api.registries.DATAPIPE_REGISTRY``).  This shim remains
-            for backward compatibility.
-        """
-        warnings.warn(
-            "DataPreparer.prepare is deprecated; build partitions through the "
-            "datapipe builder (repro.core.datapipe.build_datapipe(...)"
-            ".partition) or declare a DataSpec on the RunSpec",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self._prepare(snapshots)
-
-    def _prepare(self, snapshots: Sequence[GraphSnapshot]) -> PartitionData:
-        """Warning-free internal path (datapipe + in-repo callers)."""
+        """Prepare (or fetch from cache) the overlap decomposition of a group."""
         if not snapshots:
             raise ValueError("cannot prepare an empty snapshot group")
         key = (snapshots[0].timestep, len(snapshots))
@@ -156,7 +136,7 @@ class DataPreparer:
     ) -> List[PartitionData]:
         """Prepare every partition of a frame for a given parallelism level."""
         groups = [snapshots[i : i + s_per] for i in range(0, len(snapshots), s_per)]
-        return [self._prepare(group) for group in groups]
+        return [self.prepare(group) for group in groups]
 
     def clear(self) -> None:
         self._cache.clear()

@@ -1,20 +1,20 @@
 """Staged data pipeline with transparent, depth-bounded prefetching.
 
-The monolithic :class:`~repro.core.data_prep.DataPreparer` path scheduled
-one opaque ``host_prep`` op and one H2D transfer per partition; this module
-decomposes that into composable stages —
+Partition data moves from host memory onto the device through composable
+stages —
 
     slice  →  gather  →  pin  →  h2d
 
 (``slice`` builds the partition's batched index structures, ``gather``
 collects the feature/adjacency rows into one contiguous staging buffer,
 ``pin`` copies it into page-locked memory, ``h2d`` crosses the PCIe link) —
-and adds a :class:`Prefetcher` that schedules item ``i``'s host stages while
-item ``i - 1`` (.. ``i - depth``) still computes, the GraphBolt-style
-bounded prefetch buffer.  Only timeline accounting changes: the numerics
-(:class:`~repro.core.data_prep.PartitionData` and everything downstream)
-are untouched, so losses and serving outputs stay bit-identical to the
-monolithic path.
+and a :class:`Prefetcher` schedules item ``i``'s host stages while item
+``i - 1`` (.. ``i - depth``) still computes, the GraphBolt-style bounded
+prefetch buffer.  Only timeline accounting lives here: the numerics
+(:class:`~repro.core.data_prep.PartitionData`, built by the
+:class:`~repro.core.data_prep.DataPreparer`, and everything downstream) are
+the same for every depth and pinning choice, so losses and serving outputs
+stay bit-identical.
 
 Depth semantics on the deterministic list-scheduler: the first host stage
 of item ``i`` depends on the *consumption* op (the kernels that read the
@@ -57,19 +57,13 @@ STAGE_GATHER = "gather"
 STAGE_PIN = "pin"
 STAGE_H2D = "h2d"
 
-#: stage name -> human description (``python -m repro list`` shows these)
+#: stage name -> human description, in execution order (``python -m repro
+#: list`` shows these)
 STAGE_REGISTRY: Dict[str, str] = {
     STAGE_SLICE: "build the partition's batched index structures (host)",
     STAGE_GATHER: "gather feature/adjacency rows into one staging buffer (host)",
     STAGE_PIN: "copy the staging buffer into page-locked memory (host)",
     STAGE_H2D: "ship the staged partition across the PCIe link (copy engine)",
-}
-
-#: pipeline variant -> ordered stage tuple.  ``monolithic`` is the legacy
-#: accounting (one opaque host op + the transfer); ``staged`` is the default.
-DATAPIPE_VARIANTS: Dict[str, Tuple[str, ...]] = {
-    "staged": (STAGE_SLICE, STAGE_GATHER, STAGE_PIN, STAGE_H2D),
-    "monolithic": (STAGE_SLICE, STAGE_H2D),
 }
 
 
@@ -81,8 +75,6 @@ class DataPipeConfig:
     core never imports :mod:`repro.api`.
     """
 
-    #: pipeline variant (key of :data:`DATAPIPE_VARIANTS`)
-    pipeline: str = "staged"
     #: max items prepared ahead of the one currently computing; 0 serializes
     prefetch_depth: int = 2
     #: stage the transfer through page-locked memory (adds the ``pin`` stage;
@@ -90,11 +82,6 @@ class DataPipeConfig:
     pin_memory: bool = True
 
     def __post_init__(self) -> None:
-        if self.pipeline not in DATAPIPE_VARIANTS:
-            raise ValueError(
-                f"unknown datapipe pipeline {self.pipeline!r}; valid: "
-                f"{', '.join(sorted(DATAPIPE_VARIANTS))}"
-            )
         if not isinstance(self.prefetch_depth, int) or isinstance(self.prefetch_depth, bool):
             raise ValueError(
                 f"prefetch_depth must be an int, got {self.prefetch_depth!r}"
@@ -154,10 +141,9 @@ class DataPipe:
         self.preparer = preparer or DataPreparer(
             slice_capacity, self.host, use_sliced_csr=use_sliced_csr
         )
-        stages = DATAPIPE_VARIANTS[self.config.pipeline]
-        if not self.config.pin_memory:
-            stages = tuple(s for s in stages if s != STAGE_PIN)
-        self.stages: Tuple[str, ...] = stages
+        self.stages: Tuple[str, ...] = tuple(
+            s for s in STAGE_REGISTRY if self.config.pin_memory or s != STAGE_PIN
+        )
         #: last host-stage op of the synchronous (depth-0) path; depth-0
         #: prefetchers sharing this pipe chain their host stages through it,
         #: modelling the one host thread that prepares items in program order
@@ -170,7 +156,7 @@ class DataPipe:
     # ------------------------------------------------------------------ partitions
     def partition(self, snapshots: Sequence[GraphSnapshot]) -> PartitionData:
         """Prepare (or fetch from cache) one snapshot group's partition data."""
-        return self.preparer._prepare(snapshots)
+        return self.preparer.prepare(snapshots)
 
     def partition_frame(
         self, snapshots: Sequence[GraphSnapshot], s_per: int
@@ -416,7 +402,6 @@ def build_datapipe(
 
 
 __all__ = [
-    "DATAPIPE_VARIANTS",
     "DataPipe",
     "DataPipeConfig",
     "PipeItem",

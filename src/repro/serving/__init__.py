@@ -37,7 +37,6 @@ from repro.serving.scheduler import (
     ServingConfig,
     ServingPolicy,
     ServingScheduler,
-    build_serving_engine,
 )
 from repro.serving.session import InferenceSession
 from repro.serving.store import DeltaReport, IncrementalSnapshotStore
@@ -59,7 +58,6 @@ __all__ = [
     "ServingPolicy",
     "ServingReport",
     "ServingScheduler",
-    "build_serving_engine",
     "random_delta",
     "synthesize_serving_trace",
 ]

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import dataclasses
 import time
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
@@ -673,32 +672,4 @@ def _build_serving_scheduler(
         dataset=dataset,
         data=data,
         memory=memory,
-    )
-
-
-def build_serving_engine(
-    graph: Union[DynamicGraph, IncrementalSnapshotStore],
-    model: DGNNModel,
-    config: Optional[ServingConfig] = None,
-    *,
-    gpu: Optional[GPUSpec] = None,
-    pcie: Optional[PCIeSpec] = None,
-    host: Optional[HostSpec] = None,
-    scale: float = 1.0,
-) -> ServingScheduler:
-    """Wire a store + scheduler for a trained model in one call.
-
-    .. deprecated::
-        Construct serving engines through :class:`repro.api.Engine` with a
-        :class:`~repro.api.spec.RunSpec` serving section instead; this shim
-        remains for backward compatibility.
-    """
-    warnings.warn(
-        "build_serving_engine is deprecated; use repro.api.Engine.from_spec "
-        "with a RunSpec serving section instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _build_serving_scheduler(
-        graph, model, config, gpu=gpu, pcie=pcie, host=host, scale=scale
     )

@@ -88,13 +88,19 @@ class TestSpecLintRules:
         assert "num_snapshots" in violation.message
 
     def test_prefetch_depth_under_disabled_pipeline(self):
-        spec = make_spec(
-            pipad={"enable_pipeline": False},
-            data={"prefetch_depth": 2},
-        )
-        (violation,) = fired(spec, "spec-prefetch-pipeline")
-        assert violation.severity == SEVERITY_WARNING
-        assert "enable_pipeline" in violation.message
+        # Serving replicas force depth 0 whatever the training method.
+        cases = [
+            ({"pipad": {"enable_pipeline": False}}, "pipad.enable_pipeline"),
+            (
+                {"method": "pygt", "serving": dict(SERVING, enable_pipeline=False)},
+                "serving.enable_pipeline",
+            ),
+        ]
+        for overrides, switch in cases:
+            spec = make_spec(data={"prefetch_depth": 3}, **overrides)
+            (violation,) = fired(spec, "spec-prefetch-pipeline")
+            assert violation.severity == SEVERITY_WARNING
+            assert switch in violation.message
 
 
 class TestRegistry:

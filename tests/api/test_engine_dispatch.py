@@ -15,7 +15,6 @@ from repro.baselines import (
     PyGTReuseTrainer,
     PyGTTrainer,
     TrainerConfig,
-    make_trainer,
 )
 from repro.core import (
     DistributedConfig,
@@ -28,7 +27,7 @@ from repro.core import (
 from repro.core.distributed_trainer import DistributedTrainer as CoreDistributedTrainer
 from repro.distributed import FleetServingEngine, ShardedServingEngine
 from repro.graph import load_dataset
-from repro.serving import ServingConfig, ServingScheduler, build_serving_engine
+from repro.serving import IncrementalSnapshotStore, ServingConfig, ServingScheduler
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 SPEC_DIR = REPO_ROOT / "specs"
@@ -174,11 +173,9 @@ class TestParityWithOldEntryPoints:
         new = Engine.from_spec(spec).train()
 
         graph = load_dataset("covid19_england", seed=0, num_snapshots=8)
-        with pytest.deprecated_call():
-            trainer = make_trainer(
-                "pygt-r", graph, TrainerConfig(model="tgcn", frame_size=4, epochs=2)
-            )
-        old = trainer.train()
+        old = PyGTReuseTrainer(
+            graph, TrainerConfig(model="tgcn", frame_size=4, epochs=2)
+        ).train()
         assert new.loss_curve() == old.loss_curve()
         assert new.simulated_seconds == old.simulated_seconds
 
@@ -236,12 +233,13 @@ class TestParityWithOldEntryPoints:
             graph, TrainerConfig(model="tgcn", frame_size=4, epochs=2), PiPADConfig()
         )
         trainer.train()
-        with pytest.deprecated_call():
-            old_engine = build_serving_engine(
-                graph,
-                trainer.model,
-                ServingConfig(window=6, max_batch_requests=4, max_delay_ms=1.0),
-            )
+        config = ServingConfig(window=6, max_batch_requests=4, max_delay_ms=1.0)
+        old_engine = ServingScheduler(
+            trainer.model,
+            IncrementalSnapshotStore(graph, window=config.window),
+            config,
+            dataset=graph.name,
+        )
         old = old_engine.run_trace(trace)
         assert new.metrics.num_requests == old.metrics.num_requests
         assert new.metrics.p50_latency == old.metrics.p50_latency

@@ -83,12 +83,18 @@ class TestRoundTrip:
     def test_data_section_round_trips(self):
         spec = RunSpec(
             dataset="flickr",
-            data=DataSpec(pipeline="monolithic", prefetch_depth=0, pin_memory=False),
+            data=DataSpec(pipeline="staged", prefetch_depth=0, pin_memory=False),
         )
         restored = RunSpec.from_json(spec.to_json())
         assert restored == spec
-        assert restored.data.pipeline == "monolithic"
+        assert restored.data.pipeline == "staged"
         assert restored.data.pin_memory is False
+        # Committed specs carry the pipeline key; the default section keeps it.
+        assert RunSpec().to_dict()["data"] == {
+            "pipeline": "staged",
+            "prefetch_depth": 2,
+            "pin_memory": True,
+        }
 
 
 class TestUnknownKeyRejection:
@@ -220,8 +226,11 @@ class TestValidation:
             RunSpec(dataset="flickr", optimizer="lion")
 
     def test_unknown_datapipe_pipeline_names_choices(self):
-        with pytest.raises(ValueError, match="unknown datapipe pipeline 'turbo'.*staged"):
+        with pytest.raises(ValueError, match="data.pipeline 'turbo'; 'staged' is the only"):
             DataSpec(pipeline="turbo")
+        # A spec file selecting a retired pipeline fails to load the same way.
+        with pytest.raises(ValueError, match=r"data\.pipeline 'single-shot'"):
+            RunSpec.from_dict({"data": {"pipeline": "single-shot"}})
 
     def test_negative_prefetch_depth_rejected(self):
         with pytest.raises(ValueError, match="prefetch_depth must be >= 0"):
@@ -278,7 +287,7 @@ class TestMaterialization:
     def test_data_spec_materializes_pipe_config(self):
         from repro.core.datapipe import DataPipeConfig
 
-        data = DataSpec(pipeline="monolithic", prefetch_depth=3, pin_memory=False)
+        data = DataSpec(pipeline="staged", prefetch_depth=3, pin_memory=False)
         assert data.to_pipe_config() == DataPipeConfig(
-            pipeline="monolithic", prefetch_depth=3, pin_memory=False
+            prefetch_depth=3, pin_memory=False
         )

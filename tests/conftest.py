@@ -9,7 +9,7 @@ from repro.baselines import TrainerConfig
 from repro.graph import CSRMatrix, GeneratorConfig, generate_dynamic_graph
 from repro.gpu import DeviceGroup, GPUSpec, SimulatedGPU
 from repro.nn import build_model
-from repro.serving import IncrementalSnapshotStore, ServingConfig, build_serving_engine
+from repro.serving import IncrementalSnapshotStore, ServingConfig, ServingScheduler
 
 
 @pytest.fixture(scope="session")
@@ -86,7 +86,9 @@ def make_serving_engine(small_graph):
         defaults = dict(window=4, max_batch_requests=4, max_delay_ms=0.5)
         defaults.update(config_kwargs)
         model = build_model(model_name, small_graph.feature_dim, 8, seed=0)
-        return build_serving_engine(small_graph, model, ServingConfig(**defaults))
+        config = ServingConfig(**defaults)
+        store = IncrementalSnapshotStore(small_graph, window=config.window)
+        return ServingScheduler(model, store, config, dataset=small_graph.name)
 
     return factory
 

@@ -3,12 +3,10 @@
 The tentpole invariant mirrors the trainer suites: the datapipe only moves
 *when* prep work runs on the simulated timelines — losses and serving
 predictions must stay bit-identical across every prefetch depth and
-pipeline variant.
+pinning choice.
 """
 
 from __future__ import annotations
-
-import warnings
 
 import numpy as np
 import pytest
@@ -17,10 +15,8 @@ from hypothesis import strategies as st
 
 from repro.baselines import TrainerConfig
 from repro.core import (
-    DATAPIPE_VARIANTS,
     DataPipe,
     DataPipeConfig,
-    DataPreparer,
     DistributedConfig,
     DistributedTrainer,
     PiPADConfig,
@@ -51,12 +47,12 @@ def _pipad() -> PiPADConfig:
 class TestDataPipeConfig:
     def test_defaults(self):
         config = DataPipeConfig()
-        assert config.pipeline == "staged"
         assert config.prefetch_depth == 2
         assert config.pin_memory is True
 
     def test_unknown_variant_rejected(self):
-        with pytest.raises(ValueError, match="unknown datapipe pipeline"):
+        # The staged pipe is the only one: there is no variant to select.
+        with pytest.raises(TypeError, match="pipeline"):
             DataPipeConfig(pipeline="turbo")
 
     def test_negative_depth_rejected(self):
@@ -69,7 +65,8 @@ class TestDataPipeConfig:
             DataPipeConfig(prefetch_depth=depth)
 
     def test_every_variant_is_described(self):
-        for stages in DATAPIPE_VARIANTS.values():
+        for pin_memory in (True, False):
+            stages = build_datapipe(DataPipeConfig(pin_memory=pin_memory)).stages
             assert stages[0] == STAGE_SLICE
             assert stages[-1] == STAGE_H2D
             assert all(stage in STAGE_REGISTRY for stage in stages)
@@ -86,11 +83,6 @@ class TestStageComposition:
         pipe = build_datapipe(DataPipeConfig(pin_memory=False))
         assert pipe.stages == (STAGE_SLICE, STAGE_GATHER, STAGE_H2D)
         assert not pipe.pinned
-
-    def test_monolithic_is_slice_plus_h2d(self):
-        pipe = build_datapipe(DataPipeConfig(pipeline="monolithic"))
-        assert pipe.stages == (STAGE_SLICE, STAGE_H2D)
-        assert pipe.host_stages == (STAGE_SLICE,)
 
 
 class TestStageCosts:
@@ -282,55 +274,21 @@ class TestPrefetcherProperties:
         assert prefetcher.in_flight == 0  # balanced schedule/consume
 
 
-class TestDeprecatedPreparePath:
-    def test_prepare_warns_at_the_caller(self, small_graph):
-        preparer = DataPreparer()
-        with warnings.catch_warnings(record=True) as record:
-            warnings.simplefilter("always")
-            data = preparer.prepare(small_graph.snapshots[:2])
-        (warning,) = [w for w in record if issubclass(w.category, DeprecationWarning)]
-        assert warning.filename == __file__
-        assert "datapipe" in str(warning.message)
-        # The shim delegates: the cached partition is the internal one.
-        assert data is preparer._prepare(small_graph.snapshots[:2])
-
-    def test_internal_and_datapipe_paths_do_not_warn(self, small_graph):
-        pipe = build_datapipe()
-        with warnings.catch_warnings(record=True) as record:
-            warnings.simplefilter("always")
-            pipe.partition(small_graph.snapshots[:2])
-            pipe.preparer._prepare(small_graph.snapshots[2:4])
-            pipe.partition_frame(small_graph.snapshots[:4], 2)
-        assert not [w for w in record if issubclass(w.category, DeprecationWarning)]
-
-
 class TestTrainerParity:
     """Prefetching reorders prep on the timelines; the math is untouched."""
 
     @pytest.mark.parametrize("model", ["tgcn", "evolvegcn", "mpnn_lstm"])
     def test_pipad_losses_bit_identical_across_depths(self, small_graph, model):
-        curves = {}
-        for depth in (0, 4):
+        curves = []
+        for depth, pin_memory in ((0, True), (4, True), (4, False)):
             trainer = PiPADTrainer(
                 small_graph,
                 _config(model),
                 _pipad(),
-                data_config=DataPipeConfig(prefetch_depth=depth),
+                data_config=DataPipeConfig(prefetch_depth=depth, pin_memory=pin_memory),
             )
-            curves[depth] = trainer.train().loss_curve()
-        assert curves[0] == curves[4]
-
-    def test_monolithic_variant_matches_staged(self, small_graph):
-        staged = PiPADTrainer(
-            small_graph, _config(), _pipad(), data_config=DataPipeConfig()
-        ).train()
-        monolithic = PiPADTrainer(
-            small_graph,
-            _config(),
-            _pipad(),
-            data_config=DataPipeConfig(pipeline="monolithic", pin_memory=False),
-        ).train()
-        assert monolithic.loss_curve() == staged.loss_curve()
+            curves.append(trainer.train().loss_curve())
+        assert curves[0] == curves[1] == curves[2]
 
     def test_pipeline_trainer_parity_and_prefetch_wins(self, small_graph):
         results = {}

@@ -20,7 +20,12 @@ from repro.core import (
 )
 from repro.gpu import SimulatedGPU
 from repro.nn import build_model
-from repro.serving import ServingConfig, build_serving_engine, synthesize_serving_trace
+from repro.serving import (
+    IncrementalSnapshotStore,
+    ServingConfig,
+    ServingScheduler,
+    synthesize_serving_trace,
+)
 
 
 def timeline_bytes(device: SimulatedGPU) -> bytes:
@@ -56,10 +61,9 @@ def train_distributed(small_graph):
 
 def serve_trace(small_graph):
     model = build_model("tgcn", small_graph.feature_dim, 8, seed=0)
-    engine = build_serving_engine(
-        small_graph,
-        model,
-        ServingConfig(window=4, max_batch_requests=4, max_delay_ms=0.5),
+    config = ServingConfig(window=4, max_batch_requests=4, max_delay_ms=0.5)
+    engine = ServingScheduler(
+        model, IncrementalSnapshotStore(small_graph, window=config.window), config
     )
     engine.run_trace(synthesize_serving_trace(small_graph[-1], 50, seed=9))
     return engine

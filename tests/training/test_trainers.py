@@ -14,8 +14,8 @@ from repro.baselines import (
     TrainerConfig,
     TrainingResult,
     list_methods,
-    make_trainer,
 )
+from repro.api import RunSpec
 from repro.core import PiPADConfig, PiPADTrainer
 
 
@@ -31,8 +31,8 @@ class TestTrainerConfig:
 
     def test_method_registry(self):
         assert list_methods() == METHOD_ORDER
-        with pytest.raises(KeyError):
-            make_trainer("nope", None)
+        with pytest.raises(ValueError, match="unknown method 'nope'"):
+            RunSpec(method="nope")
 
 
 class TestBaselineTrainers:
@@ -62,9 +62,11 @@ class TestBaselineTrainers:
     def test_all_methods_same_loss(self, small_graph, trainer_config):
         """All execution strategies compute the same math, so losses agree."""
         losses = {}
-        for method in ("pygt", "pygt-a", "pygt-r", "pygt-g"):
-            losses[method] = make_trainer(method, small_graph, trainer_config).train().final_loss
-        reference = losses["pygt"]
+        for trainer_cls in (PyGTTrainer, PyGTAsyncTrainer, PyGTReuseTrainer, PyGTGeSpMMTrainer):
+            losses[trainer_cls.__name__] = (
+                trainer_cls(small_graph, trainer_config).train().final_loss
+            )
+        reference = losses["PyGTTrainer"]
         for method, loss in losses.items():
             assert loss == pytest.approx(reference, rel=1e-3), method
 
