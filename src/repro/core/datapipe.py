@@ -38,6 +38,7 @@ stages serialize (and the depth bound counts) per device only.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -194,6 +195,23 @@ class DataPipe:
     def host_seconds(self, item: PipeItem) -> float:
         """Total host-side seconds of one item across all host stages."""
         return sum(self.stage_seconds(s, item) for s in self.host_stages)
+
+
+def owner_hooks(owner: object) -> Callable[[], TelemetryCallback]:
+    """Hook provider reading ``owner.hooks`` live, through a weak reference.
+
+    Trainers and serving engines hand this to their prefetchers.  A plain
+    ``lambda: self.hooks`` would close a reference cycle (owner → prefetcher
+    → closure → owner) that keeps a released owner alive until a full
+    garbage collection.
+    """
+    ref = weakref.ref(owner)
+
+    def hooks() -> TelemetryCallback:
+        alive = ref()
+        return NULL_CALLBACK if alive is None else alive.hooks
+
+    return hooks
 
 
 class Prefetcher:
@@ -412,4 +430,5 @@ __all__ = [
     "STAGE_REGISTRY",
     "STAGE_SLICE",
     "build_datapipe",
+    "owner_hooks",
 ]

@@ -45,7 +45,7 @@ import numpy as np
 from repro.baselines.base import TrainerConfig
 from repro.baselines.results import TrainingResult
 from repro.core.config import PiPADConfig
-from repro.core.datapipe import DataPipeConfig, PipeItem, Prefetcher
+from repro.core.datapipe import DataPipeConfig, PipeItem, Prefetcher, owner_hooks
 from repro.core.distributed_trainer import aggregate_group_result
 from repro.core.trainer import PiPADTrainer
 from repro.gpu.device import SimulatedGPU
@@ -116,7 +116,7 @@ class PipelineTrainer(PiPADTrainer):
         #: the single-device prefetcher so gating state stays in one place.
         self.prefetchers: List[Prefetcher] = [self.prefetcher] + [
             Prefetcher(
-                self.datapipe, dev, device_index=index, hooks=lambda: self.hooks
+                self.datapipe, dev, device_index=index, hooks=owner_hooks(self)
             )
             for index, dev in enumerate(devices[1:], start=1)
         ]

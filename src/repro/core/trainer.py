@@ -35,7 +35,7 @@ from repro.baselines.base import DGNNTrainerBase, TrainerConfig
 from repro.baselines.results import EpochMetrics
 from repro.core.config import PiPADConfig
 from repro.core.data_prep import PartitionData
-from repro.core.datapipe import DataPipe, DataPipeConfig, PipeItem, Prefetcher
+from repro.core.datapipe import DataPipe, DataPipeConfig, PipeItem, Prefetcher, owner_hooks
 from repro.core.parallel_gnn import ParallelAggregationProvider
 from repro.core.reuse import ReuseManager
 from repro.core.slicer import GraphSlicer
@@ -106,7 +106,7 @@ class PiPADTrainer(DGNNTrainerBase):
         )
         self.preparer = self.datapipe.preparer
         self.prefetcher = Prefetcher(
-            self.datapipe, self.device, hooks=lambda: self.hooks
+            self.datapipe, self.device, hooks=owner_hooks(self)
         )
         candidates = self._candidate_s_per()
         self.tuner = DynamicTuner(

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import weakref
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Tuple, Union
 
@@ -191,8 +192,15 @@ class FleetServingEngine(ShardedServingEngine):
 
     # ------------------------------------------------------------------ halo gather
     def _make_halo_gather(self, shard: int):
-        """Per-replica ``pre_batch_ops`` hook charging boundary-row gathers."""
-        replica = self.replicas[shard]
+        """Per-replica ``pre_batch_ops`` hook charging boundary-row gathers.
+
+        The hook is stored on the replica, so it reaches the replica and the
+        engine through weak proxies: strong references would close cycles
+        (replica → hook → replica, engine → replica → hook → engine) that
+        keep a released fleet alive until a full garbage collection.
+        """
+        engine = weakref.proxy(self)
+        replica = weakref.proxy(self.replicas[shard])
         lo, hi = int(self.boundaries[shard]), int(self.boundaries[shard + 1])
 
         def gather(batch: MicroBatch) -> List[object]:
@@ -210,9 +218,9 @@ class FleetServingEngine(ShardedServingEngine):
                 stream="cpu_prep" if replica.config.enable_pipeline else "default",
                 not_before=batch.formed_time,
             )
-            self.halo_gather_bytes += gather_bytes
-            self.halo_gather_seconds += seconds
-            self.halo_gather_batches += 1
+            engine.halo_gather_bytes += gather_bytes
+            engine.halo_gather_seconds += seconds
+            engine.halo_gather_batches += 1
             return [op]
 
         return gather
@@ -449,19 +457,22 @@ def build_fleet_serving_engine(
     else:
         store = IncrementalSnapshotStore(graph, window=config.window, host=host)
         dataset = graph.name
-    replicas = [
-        ServingScheduler(
-            model,
-            store,
-            config,
-            gpu=gpu,
-            pcie=pcie,
-            host=host,
-            scale=scale,
-            dataset=dataset,
-            data=data,
-            memory=memory,
+    replicas: List[ServingScheduler] = []
+    for _ in range(fleet.num_shards):
+        replicas.append(
+            ServingScheduler(
+                model,
+                store,
+                config,
+                gpu=gpu,
+                pcie=pcie,
+                host=host,
+                scale=scale,
+                dataset=dataset,
+                data=data,
+                memory=memory,
+                # every replica reuses the first one's tuner
+                tuner=replicas[0].policy.tuner if replicas else None,
+            )
         )
-        for _ in range(fleet.num_shards)
-    ]
     return FleetServingEngine(replicas, store, fleet)

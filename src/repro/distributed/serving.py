@@ -274,18 +274,21 @@ def build_sharded_serving_engine(
 ) -> ShardedServingEngine:
     """Wire ``num_shards`` serving replicas behind one sharded entry point."""
     check_positive("num_shards", num_shards)
-    replicas = [
-        _build_serving_scheduler(
-            graph,
-            model,
-            config,
-            gpu=gpu,
-            pcie=pcie,
-            host=host,
-            scale=scale,
-            data=data,
-            memory=memory,
+    replicas: List[ServingScheduler] = []
+    for _ in range(num_shards):
+        replicas.append(
+            _build_serving_scheduler(
+                graph,
+                model,
+                config,
+                gpu=gpu,
+                pcie=pcie,
+                host=host,
+                scale=scale,
+                data=data,
+                memory=memory,
+                # every replica reuses the first one's tuner
+                tuner=replicas[0].policy.tuner if replicas else None,
+            )
         )
-        for _ in range(num_shards)
-    ]
     return ShardedServingEngine(replicas)

@@ -18,14 +18,26 @@ extensive quantities of every op whose leading dimension equals the snapshot
 node count by ``scale``, so kernel and transfer times land in the regime the
 paper measured while numerics stay cheap.  Ops that do not touch the node
 dimension (e.g. EvolveGCN's weight-evolving GRU) are left unscaled.
+
+Memoized estimates
+------------------
+A model replays the same few op shapes for every snapshot group, so the
+collector memoizes generic-op costs on ``(name, phase, input_shapes,
+output_shapes, scope, spec, applied scale factor)``.  That key is exactly
+what :func:`estimate_event_cost` and the extrapolation read from an event —
+no other attribute enters the estimate — and every part of it is immutable
+(shape tuples, strings, the frozen :class:`~repro.gpu.spec.GPUSpec`, a
+float), so a hit returns the very cost a fresh estimate would build.
+:func:`estimate_event_cost` therefore runs only on a miss.  Events carrying
+an explicit ``kernel_cost`` bypass the memo and pass through unchanged.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
-
-import numpy as np
+from typing import List, Optional, Tuple
 
 from repro.gpu.kernel_cost import (
     CATEGORY_AGGREGATION,
@@ -60,7 +72,7 @@ def _scope_to_category(scope: str) -> str:
 
 
 def _shape_size(shape: Tuple[int, ...]) -> int:
-    return int(np.prod(shape)) if shape else 1
+    return math.prod(shape)
 
 
 def estimate_event_cost(event: OpEvent, spec: GPUSpec) -> Optional[KernelCost]:
@@ -141,6 +153,27 @@ def estimate_event_cost(event: OpEvent, spec: GPUSpec) -> Optional[KernelCost]:
     )
 
 
+@functools.lru_cache(maxsize=4096)
+def _generic_cost(
+    name: str,
+    phase: str,
+    input_shapes: Tuple[Tuple[int, ...], ...],
+    output_shapes: Tuple[Tuple[int, ...], ...],
+    scope: str,
+    spec: GPUSpec,
+    factor: float,
+) -> Optional[KernelCost]:
+    """Memoized estimate of a generic op, extrapolated by ``factor``.
+
+    Pure in its arguments, so one process-wide memo serves every collector.
+    """
+    event = OpEvent(name, phase, input_shapes, output_shapes, {"scope": scope})
+    cost = estimate_event_cost(event, spec)
+    if cost is not None and factor != 1.0:
+        cost = cost.scaled(factor)
+    return cost
+
+
 @dataclass
 class KernelCostCollector:
     """Op observer that accumulates kernel costs for one execution region.
@@ -164,15 +197,23 @@ class KernelCostCollector:
 
     def __call__(self, event: OpEvent) -> None:
         self.events_seen += 1
-        cost = estimate_event_cost(event, self.spec)
-        if cost is None:
-            return
         # Kernels that attach an explicit cost (SpMM flavours, UpdateGEMM)
         # already applied their own workload scale; only generic dense ops
         # are extrapolated here.
-        is_explicit = event.attrs.get("kernel_cost") is not None
-        if not is_explicit and self.scale != 1.0 and self._touches_node_dim(event):
-            cost = cost.scaled(self.scale)
+        cost = event.attrs.get("kernel_cost")
+        if cost is None:
+            factor = self.scale if self.scale != 1.0 and self._touches_node_dim(event) else 1.0
+            cost = _generic_cost(
+                event.name,
+                event.phase,
+                event.input_shapes,
+                event.output_shapes,
+                str(event.attrs.get("scope", "other")),
+                self.spec,
+                factor,
+            )
+            if cost is None:
+                return
         self.costs.append(cost)
 
     def _touches_node_dim(self, event: OpEvent) -> bool:

@@ -9,6 +9,12 @@ stream have finished and all its dependencies have finished; this is enough
 to reproduce the overlap behaviour the paper's pipeline (Fig. 8) relies on —
 asynchronous transfers hiding behind kernels, partition ``k+1`` transfers
 overlapping partition ``k`` compute, CPU-side preparation overlapping both.
+
+Submission is constant time and so are the :meth:`Timeline.makespan` and
+:meth:`Timeline.kind_seconds` queries: ``submit`` keeps a running makespan
+and running per-kind duration totals.  The totals add each op's
+``end - start`` in submission order — the order a scan over ``ops`` would
+add them in — so they are bit-identical to recomputing from the op list.
 """
 
 from __future__ import annotations
@@ -61,6 +67,9 @@ class Timeline:
         self._resource_free: Dict[str, float] = {}
         self._stream_free: Dict[str, float] = {}
         self._next_id = 0
+        self._makespan = 0.0
+        #: per-kind duration totals, accumulated in submission order
+        self._kind_totals: Dict[str, float] = {}
 
     # -- submission ---------------------------------------------------------
     def submit(
@@ -83,11 +92,14 @@ class Timeline:
         """
         if duration < 0:
             raise ValueError(f"duration must be >= 0, got {duration}")
-        ready = max(0.0, not_before)
+        start = max(
+            0.0,
+            not_before,
+            self._stream_free.get(stream, 0.0),
+            self._resource_free.get(resource, 0.0),
+        )
         if depends_on:
-            ready = max(ready, max(op.end for op in depends_on))
-        ready = max(ready, self._stream_free.get(stream, 0.0))
-        start = max(ready, self._resource_free.get(resource, 0.0))
+            start = max(start, *(op.end for op in depends_on))
         end = start + duration
         op = TimelineOp(
             op_id=self._next_id,
@@ -105,6 +117,9 @@ class Timeline:
         self._ops.append(op)
         self._resource_free[resource] = end
         self._stream_free[stream] = end
+        if end > self._makespan:
+            self._makespan = end
+        self._kind_totals[kind] = self._kind_totals.get(kind, 0.0) + op.duration
         return op
 
     # -- queries -------------------------------------------------------------
@@ -122,12 +137,13 @@ class Timeline:
 
     def makespan(self) -> float:
         """End time of the last scheduled operation."""
-        return max((op.end for op in self._ops), default=0.0)
+        return self._makespan
 
     def busy_time(self, resources: Iterable[str]) -> float:
         """Union length of busy intervals across the given resources."""
+        wanted = set(resources)
         intervals = sorted(
-            (op.start, op.end) for op in self._ops if op.resource in set(resources) and op.duration > 0
+            (op.start, op.end) for op in self._ops if op.resource in wanted and op.duration > 0
         )
         if not intervals:
             return 0.0
@@ -148,10 +164,7 @@ class Timeline:
 
     def kind_seconds(self) -> Dict[str, float]:
         """Total duration per operation kind."""
-        totals: Dict[str, float] = {}
-        for op in self._ops:
-            totals[op.kind] = totals.get(op.kind, 0.0) + op.duration
-        return totals
+        return dict(self._kind_totals)
 
     def gpu_utilization(self) -> float:
         """Fraction of the makespan during which the GPU is busy.
@@ -181,3 +194,5 @@ class Timeline:
         self._resource_free.clear()
         self._stream_free.clear()
         self._next_id = 0
+        self._makespan = 0.0
+        self._kind_totals.clear()

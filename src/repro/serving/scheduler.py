@@ -26,7 +26,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.core.datapipe import DataPipe, DataPipeConfig, PipeItem, Prefetcher
+from repro.core.datapipe import DataPipe, DataPipeConfig, PipeItem, Prefetcher, owner_hooks
 from repro.core.reuse import ReuseManager
 from repro.core.tuner import DynamicTuner, FrameProfile, TuningDecision
 from repro.gpu.device import OutOfMemoryError, SimulatedGPU
@@ -214,6 +214,7 @@ class ServingScheduler:
         dataset: str = "serving",
         data: Optional[DataPipeConfig] = None,
         memory: Optional[MemoryConfig] = None,
+        tuner: Optional[DynamicTuner] = None,
     ) -> None:
         self.config = config or ServingConfig()
         self.store = store
@@ -250,17 +251,20 @@ class ServingScheduler:
             preparer=self.datapipe.preparer,
         )
         self.prefetcher = Prefetcher(
-            self.datapipe, self.device, domain="serve", hooks=lambda: self.hooks
+            self.datapipe, self.device, domain="serve", hooks=owner_hooks(self)
         )
-        candidates = tuple(
-            c for c in self.config.s_per_candidates if c <= store.window_capacity
-        ) or (store.window_capacity,)
-        tuner = DynamicTuner(
-            self.device.spec,
-            candidates,
-            memory_safety_fraction=self.config.memory_safety_fraction,
-            feature_dim=store.feature_dim,
-        )
+        # A tuner never changes once built, so the replicas of one serving
+        # topology share one (and with it one offline speedup table).
+        if tuner is None:
+            candidates = tuple(
+                c for c in self.config.s_per_candidates if c <= store.window_capacity
+            ) or (store.window_capacity,)
+            tuner = DynamicTuner(
+                self.device.spec,
+                candidates,
+                memory_safety_fraction=self.config.memory_safety_fraction,
+                feature_dim=store.feature_dim,
+            )
         self.policy = ServingPolicy(
             tuner,
             self.config,
@@ -652,6 +656,7 @@ def _build_serving_scheduler(
     scale: float = 1.0,
     data: Optional[DataPipeConfig] = None,
     memory: Optional[MemoryConfig] = None,
+    tuner: Optional[DynamicTuner] = None,
 ) -> ServingScheduler:
     """Wire a store + scheduler for a trained model (engine-internal path)."""
     config = config or ServingConfig()
@@ -672,4 +677,5 @@ def _build_serving_scheduler(
         dataset=dataset,
         data=data,
         memory=memory,
+        tuner=tuner,
     )

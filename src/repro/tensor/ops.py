@@ -109,14 +109,12 @@ class Sigmoid(Function):
     op_name = "sigmoid"
 
     def forward(self, a: np.ndarray) -> np.ndarray:
-        # Numerically stable split over the sign of the input.
-        out = np.empty_like(a)
-        positive = a >= 0
-        out[positive] = 1.0 / (1.0 + np.exp(-a[positive]))
-        exp_a = np.exp(a[~positive])
-        out[~positive] = exp_a / (1.0 + exp_a)
-        self.out = out
-        return out
+        # Numerically stable over the sign of the input: exp(-|a|) never
+        # overflows, and each element takes the same float ops as the
+        # 1/(1+exp(-a)) (a >= 0) / exp(a)/(1+exp(a)) (a < 0) split.
+        e = np.exp(-np.abs(a))
+        self.out = np.where(a >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+        return self.out
 
     def backward(self, grad: np.ndarray):
         return (grad * self.out * (1.0 - self.out),)
