@@ -4,9 +4,10 @@ Replays one skewed, bursty trace (70 % of requests hammer shard 0's node
 range, near-zero interarrival) against two 4-replica topologies built from
 the same trained model:
 
-- ``sharded`` — the round-robin :class:`ShardedServingEngine`: every replica
-  holds the **full** serving window and queues grow without bound;
-- ``fleet`` — the :class:`FleetServingEngine`: one node-sharded store
+- ``sharded`` — the replicated :class:`FleetServingEngine` preset that
+  ``serving.kind = "sharded"`` builds: every replica holds the **full**
+  serving window, requests rotate round-robin and queues grow without bound;
+- ``fleet`` — the node-sharded :class:`FleetServingEngine`: one store
   (each replica accounts only its node range + halo rows), ownership
   routing with queue-depth admission control, and an elastic replica pool
   driven by the p99 SLO.
@@ -27,11 +28,8 @@ import numpy as np
 
 from conftest import run_once, write_bench_json
 
-from repro.distributed import (
-    FleetConfig,
-    build_fleet_serving_engine,
-    build_sharded_serving_engine,
-)
+from repro.api import ServingSpec
+from repro.distributed import FleetConfig, build_fleet_serving_engine
 from repro.graph import load_dataset
 from repro.nn import build_model
 from repro.serving import ServingConfig, synthesize_serving_trace
@@ -84,8 +82,9 @@ def _compare(quick: bool):
     trace = _skewed_trace(graph, fleet.boundaries, num_events)
     fleet_report = fleet.run_trace(list(trace))
 
-    sharded = build_sharded_serving_engine(
-        graph, model, NUM_SHARDS, config, scale=COST_SCALE
+    replicated = ServingSpec(kind="sharded", num_shards=NUM_SHARDS).to_fleet_config()
+    sharded = build_fleet_serving_engine(
+        graph, model, replicated, config, scale=COST_SCALE
     )
     sharded_report = sharded.run_trace(list(trace))
     return fleet, fleet_report, sharded_report, graph, model

@@ -23,7 +23,7 @@ hand-wired                                      spec
 ``PiPADTrainer(graph, cfg, pipad_cfg)``         ``RunSpec(method="pipad", pipad={...overrides...})``
 ``DistributedTrainer(graph, cfg, pc, dc)``      ``RunSpec(device={"kind": "group", "num_devices": K})``
 ``ServingScheduler(model, store, sc)``          ``RunSpec(serving={...}) + engine.serve()``
-``build_sharded_serving_engine(...)``           ``RunSpec(serving={"kind": "sharded", "num_shards": K})``
+``build_fleet_serving_engine(...)``             ``RunSpec(serving={"kind": "sharded" or "fleet", "num_shards": K})``
 ==============================================  =====================================
 """
 

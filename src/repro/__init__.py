@@ -23,7 +23,7 @@ Sub-packages
 - :mod:`repro.serving` — streaming inference: incremental snapshot store,
   forward-only sessions, micro-batching and the pipelined serving scheduler.
 - :mod:`repro.distributed` — multi-GPU sharding: graph partitioner, device
-  group with ring collectives, data-parallel trainer and sharded serving.
+  group with ring collectives, data-parallel trainer and multi-replica serving.
 - :mod:`repro.profiling` — breakdowns, utilization, load-balance analysis.
 - :mod:`repro.experiments` — one module per paper table/figure.
 - :mod:`repro.telemetry` — observability: span tracing, Chrome-trace export,
@@ -90,8 +90,6 @@ _LAZY_EXPORTS = {
     "SCHEDULE_MODES": "repro.distributed",
     "ShardGroup": "repro.distributed",
     "SnapshotShard": "repro.distributed",
-    "ShardedServingEngine": "repro.distributed",
-    "build_sharded_serving_engine": "repro.distributed",
     "FleetConfig": "repro.distributed",
     "FleetServingEngine": "repro.distributed",
     "ScaleEvent": "repro.distributed",

@@ -119,6 +119,12 @@ register_check(
     _static(speclint.lint_dead_memory_knobs),
 )
 register_check(
+    "spec-dead-fleet-knobs",
+    FAMILY_STATIC,
+    "fleet-only serving knobs are not set on a local/sharded kind",
+    _static(speclint.lint_dead_fleet_knobs),
+)
+register_check(
     "spec-telemetry-paths",
     FAMILY_STATIC,
     "trace/report paths require telemetry to be enabled",

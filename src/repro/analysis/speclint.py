@@ -10,6 +10,7 @@ can select them one by one.
 
 from __future__ import annotations
 
+from dataclasses import fields
 from typing import List
 
 from .base import SEVERITY_WARNING, Violation
@@ -86,6 +87,33 @@ def lint_dead_memory_knobs(spec: object) -> List[Violation]:
             ),
             severity=SEVERITY_WARNING,
             source="spec.memory",
+        )
+    ]
+
+
+#: serving knobs only ``serving.kind = "fleet"`` reads
+_FLEET_KNOBS = ("min_replicas", "max_replicas", "admission_limit", "slo_p99_ms", "partition_mode")
+
+
+def lint_dead_fleet_knobs(spec: object) -> List[Violation]:
+    """Fleet knobs set on a ``local``/``sharded`` serving kind do nothing."""
+    serving = spec.serving
+    if serving is None or serving.kind == "fleet":
+        return []
+    defaults = {f.name: f.default for f in fields(serving)}
+    dead = [f"serving.{k}" for k in _FLEET_KNOBS if getattr(serving, k) != defaults[k]]
+    if not dead:
+        return []
+    return [
+        Violation(
+            check="spec-dead-fleet-knobs",
+            message=(
+                f"{', '.join(dead)} set while serving.kind is "
+                f"{serving.kind!r} — only kind 'fleet' reads them; switch the "
+                "kind or drop the knobs"
+            ),
+            severity=SEVERITY_WARNING,
+            source="spec.serving",
         )
     ]
 

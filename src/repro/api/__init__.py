@@ -2,7 +2,7 @@
 
 Instead of hand-wiring trainers (``PiPADTrainer(...)``,
 ``DistributedTrainer(...)``) and serving engines (``ServingScheduler(...)``,
-``build_sharded_serving_engine``), every scenario is described by a
+``build_fleet_serving_engine``), every scenario is described by a
 serializable :class:`RunSpec` and executed by one :class:`Engine`:
 
 >>> from repro.api import Engine, RunSpec

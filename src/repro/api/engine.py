@@ -6,7 +6,7 @@ dict / JSON file path) and resolves it through the registries in
 :class:`~repro.core.trainer.PiPADTrainer`, any PyGT variant,
 :class:`~repro.core.distributed_trainer.DistributedTrainer`,
 :class:`~repro.serving.scheduler.ServingScheduler` or
-:class:`~repro.distributed.serving.ShardedServingEngine` — behind one
+:class:`~repro.distributed.fleet.FleetServingEngine` — behind one
 ``train()`` / ``serve()`` / ``report()`` lifecycle.  Numerics are untouched:
 the engine builds exactly the objects the old hand-wired entry points built,
 so losses are bit-identical with the pre-façade code paths.

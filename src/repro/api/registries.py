@@ -13,10 +13,12 @@ Four registries cover the whole construction space:
   ``pipeline`` → :class:`~repro.core.pipeline_trainer.PipelineTrainer`);
 - :data:`SERVING_REGISTRY` maps a serving topology kind to the builder that
   wires the online engine (``local`` → one
-  :class:`~repro.serving.scheduler.ServingScheduler`, ``sharded`` →
-  :class:`~repro.distributed.serving.ShardedServingEngine`, ``fleet`` →
-  :class:`~repro.distributed.fleet.FleetServingEngine` with a node-sharded
-  store, admission control and an elastic replica pool).
+  :class:`~repro.serving.scheduler.ServingScheduler`; ``sharded`` and
+  ``fleet`` → :class:`~repro.distributed.fleet.FleetServingEngine`, built
+  from the two :class:`~repro.distributed.fleet.FleetConfig` presets of
+  ``ServingSpec.to_fleet_config`` — round-robin replication of full
+  replicas, or a node-sharded store with admission control and an elastic
+  replica pool).
 
 Every trainer and serving replica consumes the
 :class:`~repro.core.datapipe.DataPipeConfig` that ``RunSpec.data``
@@ -152,23 +154,6 @@ def _build_local_serving(
     )
 
 
-def _build_sharded_serving(
-    spec: RunSpec, graph: DynamicGraph, model: DGNNModel
-) -> "ShardedServingEngine":  # noqa: F821 - forward ref
-    from repro.distributed.serving import build_sharded_serving_engine
-
-    assert spec.serving is not None
-    return build_sharded_serving_engine(
-        graph,
-        model,
-        spec.serving.num_shards,
-        spec.serving.to_serving_config(),
-        data=spec.data.to_pipe_config(),
-        scale=_serving_scale(spec),
-        memory=spec.memory.to_memory_config(),
-    )
-
-
 def _build_fleet_serving(
     spec: RunSpec, graph: DynamicGraph, model: DGNNModel
 ) -> "FleetServingEngine":  # noqa: F821 - forward ref
@@ -203,8 +188,9 @@ SERVING_REGISTRY: Dict[str, ServingKind] = {
     ),
     "sharded": ServingKind(
         "sharded",
-        "ShardedServingEngine: round-robin routing over K replicas",
-        _build_sharded_serving,
+        "FleetServingEngine, replicated preset: K full replicas, round-robin "
+        "routing, fixed pool, no admission limit",
+        _build_fleet_serving,
     ),
     "fleet": ServingKind(
         "fleet",
@@ -222,7 +208,7 @@ def build_trainer(spec: RunSpec, graph: DynamicGraph) -> DGNNTrainerBase:
 
 def build_serving(
     spec: RunSpec, graph: DynamicGraph, model: DGNNModel
-) -> Union["ServingScheduler", "ShardedServingEngine"]:  # noqa: F821
+) -> Union["ServingScheduler", "FleetServingEngine"]:  # noqa: F821
     """Resolve a spec's serving section into a wired online engine."""
     if spec.serving is None:
         raise ValueError(

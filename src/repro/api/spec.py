@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import sys
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any, Dict, Mapping, Optional, Tuple, Type, TypeVar, Union
@@ -331,10 +332,10 @@ class MemorySpec(_SpecBase):
 class ServingSpec(_SpecBase):
     """Online-serving section of a run: engine topology + scheduler knobs."""
 
-    #: ``"local"`` (one :class:`ServingScheduler`), ``"sharded"``
-    #: (:class:`ShardedServingEngine` over ``num_shards`` full replicas) or
-    #: ``"fleet"`` (:class:`FleetServingEngine`: node-sharded store,
-    #: admission control, elastic replica pool)
+    #: ``"local"`` (one :class:`ServingScheduler`) or one of two
+    #: :class:`FleetServingEngine` presets: ``"sharded"`` (``num_shards``
+    #: full replicas, round-robin routing, fixed pool, no admission limit)
+    #: or ``"fleet"`` (node-sharded store, admission control, elastic pool)
     kind: str = "local"
     num_shards: int = 1
     window: int = 8
@@ -407,9 +408,20 @@ class ServingSpec(_SpecBase):
         )
 
     def to_fleet_config(self) -> "FleetConfig":  # noqa: F821 - forward ref
-        """Materialize the engine-level :class:`FleetConfig` (kind 'fleet')."""
+        """Materialize the engine-level :class:`FleetConfig`.
+
+        ``"sharded"`` is the replicated preset (the fleet knobs are unused);
+        ``"fleet"`` reads them.
+        """
         from repro.distributed.fleet import FleetConfig
 
+        if self.kind == "sharded":
+            return FleetConfig(
+                num_shards=self.num_shards,
+                min_replicas=self.num_shards,
+                admission_limit=sys.maxsize,
+                replicated=True,
+            )
         return FleetConfig(
             num_shards=self.num_shards,
             min_replicas=self.min_replicas,

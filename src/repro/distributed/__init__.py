@@ -18,13 +18,14 @@ lives next to its single-device counterparts so each layer stays cohesive:
   :class:`~repro.graph.partition.FramePartitioner` shards the *snapshot
   groups* instead of the node set, and the recurrent state hops between
   stages over point-to-point ``DeviceGroup.send`` transfers;
-- :class:`ShardedServingEngine` (here) is the sharded entry point for the
-  streaming serving scheduler: requests fan out across per-device serving
-  replicas while graph deltas broadcast to every shard;
-- :class:`FleetServingEngine` (here) is its fleet-scale successor: one
-  node-sharded store shared by the replicas, ownership routing with
-  queue-depth admission control, and an elastic replica pool that scales on
-  p99/SLO pressure.
+- :class:`FleetServingEngine` (here) is the multi-replica entry point for
+  the streaming serving scheduler: requests fan out across per-device
+  serving replicas that share one snapshot store.  Its
+  :class:`FleetConfig` presets cover round-robin replication of full
+  replicas (``replicated=True``, serving kind ``sharded``) and the
+  node-sharded fleet with ownership routing, queue-depth admission control
+  and an elastic replica pool that scales on p99/SLO pressure (kind
+  ``fleet``).
 """
 
 from repro.core.distributed_trainer import DistributedConfig, DistributedTrainer
@@ -35,7 +36,6 @@ from repro.distributed.fleet import (
     ScaleEvent,
     build_fleet_serving_engine,
 )
-from repro.distributed.serving import ShardedServingEngine, build_sharded_serving_engine
 from repro.gpu.device_group import COMM_STREAM, RESOURCE_PEER_LINK, DeviceGroup
 from repro.gpu.interconnect import NVLINK, PCIE_PEER, Interconnect, LinkSpec
 from repro.graph.partition import (
@@ -69,8 +69,6 @@ __all__ = [
     "SCHEDULE_MODES",
     "ScaleEvent",
     "ShardGroup",
-    "ShardedServingEngine",
     "SnapshotShard",
     "build_fleet_serving_engine",
-    "build_sharded_serving_engine",
 ]

@@ -1,11 +1,15 @@
-"""Fleet-scale serving: node-sharded store, load-aware admission, elastic replicas.
+"""Multi-replica serving: one engine, two presets.
 
-:class:`FleetServingEngine` is the "millions of users" counterpart of the
-replicated :class:`~repro.distributed.serving.ShardedServingEngine`.  Three
-things change relative to round-robin replication:
+:class:`FleetServingEngine` fans request traffic across per-device
+:class:`~repro.serving.scheduler.ServingScheduler` replicas sharing one
+:class:`~repro.serving.store.IncrementalSnapshotStore`: a delta is applied
+once and every replica absorbs it.  ``serving.kind = "sharded"`` is the
+``replicated`` :class:`FleetConfig` preset — every replica owns all rows
+(no halo gathers, full-window store accounting), requests rotate
+round-robin over a fixed pool and nothing is shed.  ``"fleet"`` is the
+default configuration described below.
 
-**Node-sharded store.**  All replicas share one
-:class:`~repro.serving.store.IncrementalSnapshotStore`, and a
+**Node-sharded store.**  A
 :class:`~repro.graph.partition.GraphPartitioner` plan assigns each replica a
 contiguous node range it *owns*.  A deployed shard holds only its own rows
 (features + adjacency row range + halo rows) instead of a full window copy,
@@ -37,29 +41,60 @@ absorbing deltas so their caches are consistent the moment they activate.
 
 from __future__ import annotations
 
+import dataclasses
 import heapq
 import math
+import time
 import weakref
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.core.datapipe import DataPipeConfig
-from repro.distributed.serving import _BATCH_ID_STRIDE, ShardedServingEngine
 from repro.graph.csr import INDEX_BYTES
 from repro.graph.dynamic_graph import DynamicGraph
 from repro.graph.partition import PARTITION_MODES, GraphPartitioner
 from repro.gpu.spec import GPUSpec, HostSpec, PCIeSpec
-from repro.memory import MemoryConfig
+from repro.memory import MemoryConfig, aggregate_cache_stats
 from repro.nn.base_model import DGNNModel
 from repro.serving.batcher import MicroBatch
-from repro.serving.deltas import GraphDelta
-from repro.serving.metrics import ServingReport
+from repro.serving.deltas import GraphDelta, ServingEvent
+from repro.serving.metrics import ServingMetrics, ServingReport
 from repro.serving.scheduler import BatchResult, ServingConfig, ServingScheduler
 from repro.serving.store import DeltaReport, IncrementalSnapshotStore
 from repro.telemetry.hooks import NULL_CALLBACK, TelemetryCallback
 from repro.utils.validation import check_positive
+
+#: offset separating one shard's batch ids from the next in merged output
+_BATCH_ID_STRIDE = 1_000_000
+#: per-replica breakdown keys that are ratios/horizons, not additive seconds
+_NON_ADDITIVE_BREAKDOWN = ("makespan", "gpu_utilization", "sm_utilization")
+#: per-replica reuse-stat keys that are gauges (cache sizes, buffer bytes),
+#: not additive counters — summing them across K replicas reads as a
+#: K-times-larger cache
+_NON_ADDITIVE_REUSE = ("cpu_cached_snapshots", "gpu_resident_snapshots", "gpu_buffer_bytes")
+
+
+def _merge_stat_maps(
+    maps: List[Dict[str, float]], non_additive: Tuple[str, ...]
+) -> Dict[str, float]:
+    """Merge per-replica stat dicts: sum counters, average gauge/ratio keys.
+
+    Shared by the ``breakdown`` and ``reuse_stats`` merges so both follow one
+    additive/non-additive split (callers may still override individual keys,
+    e.g. ``makespan`` → max).
+    """
+    merged: Dict[str, float] = {}
+    for stats in maps:
+        for key, value in stats.items():
+            if key not in non_additive:
+                merged[key] = merged.get(key, 0.0) + value
+    for key in non_additive:
+        values = [stats[key] for stats in maps if key in stats]
+        if values:
+            merged[key] = float(np.mean(values))
+    return merged
 
 
 @dataclass(frozen=True)
@@ -82,6 +117,10 @@ class FleetConfig:
     scale_window: int = 16
     #: admitted submissions between scale decisions
     scale_cooldown: int = 8
+    #: every replica owns all rows (no halo gathers, full-range feature
+    #: caches) and requests rotate round-robin over the active pool instead
+    #: of routing to the owner-most replica
+    replicated: bool = False
 
     def __post_init__(self) -> None:
         check_positive("num_shards", self.num_shards)
@@ -117,13 +156,12 @@ class ScaleEvent:
     p99_ms: float  # rolling p99 that triggered it
 
 
-class FleetServingEngine(ShardedServingEngine):
-    """Node-sharded, admission-controlled, autoscaling serving fleet.
+class FleetServingEngine:
+    """Multi-replica serving over one shared store.
 
-    Inherits the id bookkeeping, pump re-keying, trace replay and report
-    merging of :class:`ShardedServingEngine`; overrides ingestion (shared
-    store, applied once), routing (ownership + queue depth + admission) and
-    extends the merged report with fleet accounting.
+    Node-sharded, admission-controlled and autoscaling by default; the
+    ``replicated`` preset turns it into round-robin replication of full
+    replicas.
     """
 
     def __init__(
@@ -132,7 +170,6 @@ class FleetServingEngine(ShardedServingEngine):
         store: IncrementalSnapshotStore,
         config: Optional[FleetConfig] = None,
     ) -> None:
-        super().__init__(replicas)
         self.fleet_config = config or FleetConfig()
         if self.fleet_config.num_shards != len(replicas):
             raise ValueError(
@@ -145,6 +182,7 @@ class FleetServingEngine(ShardedServingEngine):
                     "fleet replicas must share one IncrementalSnapshotStore; "
                     "build them through build_fleet_serving_engine"
                 )
+        self.replicas = replicas
         self.store = store
         #: engine-level telemetry sink (scale events); the runtime swaps in a
         #: live CallbackList alongside the per-replica hooks
@@ -157,6 +195,15 @@ class FleetServingEngine(ShardedServingEngine):
         self._partitioner = partitioner
         self._active = self.fleet_config.min_replicas
         self._since_scale = self.fleet_config.scale_cooldown
+        #: next replica of the round-robin rotation (replicated routing)
+        self._next_shard = 0
+        #: global request id -> (shard index, shard-local request id)
+        self._routes: List[Tuple[int, int]] = []
+        #: (shard index, shard-local request id) -> global request id
+        self._global_ids: Dict[Tuple[int, int], int] = {}
+        #: wall clock starts at first traffic, matching the single-device
+        #: scheduler — building K replicas is provisioning, not serving time
+        self._wall_start: Optional[float] = None
         self.rejected_requests = 0
         self.scale_events: List[ScaleEvent] = []
         self.halo_gather_bytes = 0.0
@@ -171,16 +218,27 @@ class FleetServingEngine(ShardedServingEngine):
         self._completions: List[List[Tuple[float, int]]] = [
             [] for _ in range(self.num_shards)
         ]
-        for shard in range(self.num_shards):
-            replicas[shard].pre_batch_ops = self._make_halo_gather(shard)
+        for shard, replica in enumerate(replicas):
+            lo, hi = self.owned_range(shard)
+            replica.pre_batch_ops = self._make_halo_gather(shard, lo, hi)
             # Scope each replica's feature cache to the node rows it owns:
             # blocks keyed outside the owner range would alias rows another
             # replica serves, and the halo seam already charges remote rows.
-            replicas[shard].scope_feature_cache(
-                int(self.boundaries[shard]), int(self.boundaries[shard + 1])
-            )
+            replica.scope_feature_cache(lo, hi)
+
+    def _touch_wall_clock(self) -> None:
+        if self._wall_start is None:
+            self._wall_start = time.perf_counter()
 
     # ------------------------------------------------------------------ pool state
+    @property
+    def num_shards(self) -> int:
+        return len(self.replicas)
+
+    def elapsed_seconds(self) -> float:
+        """The pool's simulated clock: the furthest replica timeline."""
+        return max(replica.device.elapsed_seconds() for replica in self.replicas)
+
     @property
     def active_replicas(self) -> int:
         """Replicas currently receiving traffic (a prefix of the pool)."""
@@ -190,8 +248,14 @@ class FleetServingEngine(ShardedServingEngine):
         """Shard owning a node id under the persistent partition plan."""
         return int(np.searchsorted(self.boundaries, node_id, side="right") - 1)
 
+    def owned_range(self, shard: int) -> Tuple[int, int]:
+        """Node rows ``[lo, hi)`` a replica owns (all of them when replicated)."""
+        if self.fleet_config.replicated:
+            return 0, self.store.num_nodes
+        return int(self.boundaries[shard]), int(self.boundaries[shard + 1])
+
     # ------------------------------------------------------------------ halo gather
-    def _make_halo_gather(self, shard: int):
+    def _make_halo_gather(self, shard: int, lo: int, hi: int):
         """Per-replica ``pre_batch_ops`` hook charging boundary-row gathers.
 
         The hook is stored on the replica, so it reaches the replica and the
@@ -201,7 +265,6 @@ class FleetServingEngine(ShardedServingEngine):
         """
         engine = weakref.proxy(self)
         replica = weakref.proxy(self.replicas[shard])
-        lo, hi = int(self.boundaries[shard]), int(self.boundaries[shard + 1])
 
         def gather(batch: MicroBatch) -> List[object]:
             remote = int(np.count_nonzero((batch.node_ids < lo) | (batch.node_ids >= hi)))
@@ -226,19 +289,17 @@ class FleetServingEngine(ShardedServingEngine):
         return gather
 
     # ------------------------------------------------------------------ ingestion
-    def ingest(self, delta: GraphDelta, *, at: Optional[float] = None) -> List[DeltaReport]:
+    def ingest(self, delta: GraphDelta, *, at: Optional[float] = None) -> DeltaReport:
         """Apply a delta once to the shared store; every replica absorbs it.
 
         Inactive replicas absorb too — their caches must be consistent the
-        moment a scale-up routes traffic at them.  Returns the single
-        :class:`DeltaReport` (in a list, for signature compatibility with the
-        replicated engine).
+        moment a scale-up routes traffic at them.
         """
         self._touch_wall_clock()
         report = self.store.apply(delta)
         for replica in self.replicas:
             replica.absorb_delta(report, at=at)
-        return [report]
+        return report
 
     # ------------------------------------------------------------------ routing
     def queue_depth(self, shard: int, now: float) -> int:
@@ -260,21 +321,33 @@ class FleetServingEngine(ShardedServingEngine):
         return self._outstanding[shard]
 
     def _route(self, ids: np.ndarray, now: float) -> Optional[int]:
-        """Owner-most routing over the active pool with admission control."""
-        active = range(self._active)
-        owned = [
-            int(
-                np.count_nonzero(
-                    (ids >= self.boundaries[s]) & (ids < self.boundaries[s + 1])
+        """Pick a replica from the active pool, or ``None`` to shed.
+
+        Replicated pools rotate round-robin; node-sharded pools route to the
+        replica owning the most of the request's nodes, tie-broken by queue
+        depth.  Either way the chosen replica must be under the admission
+        limit.
+        """
+        if self.fleet_config.replicated:
+            shard = self._next_shard % self._active
+            self._next_shard = (shard + 1) % self._active
+            depth = self.queue_depth(shard, now)
+        else:
+            active = range(self._active)
+            owned = [
+                int(
+                    np.count_nonzero(
+                        (ids >= self.boundaries[s]) & (ids < self.boundaries[s + 1])
+                    )
                 )
-            )
-            for s in active
-        ]
-        best = max(owned)
-        candidates = [s for s in active if owned[s] == best]
-        depths = {s: self.queue_depth(s, now) for s in candidates}
-        shard = min(candidates, key=lambda s: depths[s])
-        if depths[shard] >= self.fleet_config.admission_limit:
+                for s in active
+            ]
+            best = max(owned)
+            candidates = [s for s in active if owned[s] == best]
+            depths = {s: self.queue_depth(s, now) for s in candidates}
+            shard = min(candidates, key=lambda s: depths[s])
+            depth = depths[shard]
+        if depth >= self.fleet_config.admission_limit:
             return None
         return shard
 
@@ -288,9 +361,7 @@ class FleetServingEngine(ShardedServingEngine):
         """
         self._touch_wall_clock()
         ids = np.asarray(list(node_ids), dtype=np.int64)
-        now = at if at is not None else max(
-            replica.device.elapsed_seconds() for replica in self.replicas
-        )
+        now = at if at is not None else self.elapsed_seconds()
         self._maybe_scale(now)
         shard = self._route(ids, now)
         if shard is None:
@@ -300,31 +371,79 @@ class FleetServingEngine(ShardedServingEngine):
         # Count only after the replica accepted the request — submit raises
         # on out-of-range node ids and a failed submission is not backlog.
         self._outstanding[shard] += 1
-        return self._register_route(shard, local_id)
+        global_id = len(self._routes)
+        self._routes.append((shard, local_id))
+        self._global_ids[(shard, local_id)] = global_id
+        return global_id
+
+    def route_of(self, request_id: int) -> Tuple[int, int]:
+        """(shard index, shard-local id) a global request id resolved to."""
+        return self._routes[request_id]
+
+    def _to_global(self, shard: int, local_id: int) -> int:
+        """Global id of a shard-local request.
+
+        Strict by design: falling back to the local id would collide with
+        already-issued global ids and silently mis-attribute predictions, so
+        requests must enter through :meth:`submit`, never through a replica
+        directly.
+        """
+        try:
+            return self._global_ids[(shard, local_id)]
+        except KeyError:
+            raise KeyError(
+                f"request {local_id} on shard {shard} was not submitted through "
+                "FleetServingEngine.submit(); submit requests via the engine "
+                "so they receive a collision-free global id"
+            ) from None
 
     def pump(self, now: Optional[float] = None, *, force: bool = False) -> List[BatchResult]:
-        """Pump every shard, then account completions and re-check scale.
+        """Cut and execute due micro-batches on every shard, then re-check scale.
 
-        Completion times feed the per-shard admission heaps, and every pump
-        tick — :meth:`run_trace` issues one per trace event — drives the
-        autoscaler, so an idle fleet whose rolling p99 has headroom drains
-        back down to ``min_replicas`` even when no submissions arrive to
-        trigger a decision.
+        Results are re-keyed to engine-level ids (the global request ids
+        :meth:`submit` handed out; batch ids offset per shard as in the
+        merged report).  Completion times feed the per-shard admission
+        heaps, and every pump tick — :meth:`run_trace` issues one per trace
+        event — drives the autoscaler, so an idle fleet with p99 headroom
+        drains back to ``min_replicas`` even when no submissions arrive.
         """
-        results = super().pump(now, force=force)
-        for result in results:
-            shard = result.batch_id // _BATCH_ID_STRIDE
-            heapq.heappush(
-                self._completions[shard],
-                (result.completion_time, len(result.predictions)),
-            )
-        tick = (
-            now
-            if now is not None
-            else max(replica.device.elapsed_seconds() for replica in self.replicas)
-        )
-        self._maybe_scale(tick)
+        results: List[BatchResult] = []
+        for shard, replica in enumerate(self.replicas):
+            for result in replica.pump(now, force=force):
+                heapq.heappush(
+                    self._completions[shard],
+                    (result.completion_time, len(result.predictions)),
+                )
+                results.append(
+                    BatchResult(
+                        batch_id=result.batch_id + shard * _BATCH_ID_STRIDE,
+                        decision=result.decision,
+                        completion_time=result.completion_time,
+                        predictions={
+                            self._to_global(shard, local_id): rows
+                            for local_id, rows in result.predictions.items()
+                        },
+                    )
+                )
+        self._maybe_scale(now if now is not None else self.elapsed_seconds())
         return results
+
+    def run_trace(self, events: Iterable[ServingEvent]) -> ServingReport:
+        """Replay a timestamped trace across the pool."""
+        self._touch_wall_clock()
+        last_time = 0.0
+        for event in sorted(events, key=lambda e: e.time):
+            self.pump(event.time)
+            if event.kind == "delta":
+                assert event.delta is not None
+                self.ingest(event.delta, at=event.time)
+            else:
+                assert event.node_ids is not None
+                self.submit(event.node_ids, at=event.time)
+                self.pump(event.time)
+            last_time = event.time
+        self.pump(max(last_time, self.elapsed_seconds()), force=True)
+        return self.report()
 
     # ------------------------------------------------------------------ autoscale
     def _recent_p99_seconds(self) -> float:
@@ -342,6 +461,8 @@ class FleetServingEngine(ShardedServingEngine):
 
     def _maybe_scale(self, now: float) -> None:
         cfg = self.fleet_config
+        if cfg.min_replicas == cfg.replica_ceiling:
+            return  # fixed pool: no decision can fire, skip the p99 sort
         if self._since_scale < cfg.scale_cooldown:
             self._since_scale += 1
             return
@@ -370,13 +491,15 @@ class FleetServingEngine(ShardedServingEngine):
     def shard_store_bytes(self) -> List[float]:
         """Store bytes a deployed replica of each shard would hold today.
 
-        Per window snapshot: the shard's feature-row slice, a compacted CSR of
-        its adjacency row range, and the halo feature rows it caches to
-        aggregate across the boundary.  The shared in-process store keeps the
-        full window once; this is the per-node accounting the node-sharded
-        deployment is built to achieve (vs. ``window_bytes()`` per replica in
-        the replicated engine).
+        A replicated replica holds the full window (``window_bytes()``).  A
+        node-sharded one holds, per window snapshot: the shard's feature-row
+        slice, a compacted CSR of its adjacency row range, and the halo
+        feature rows it caches to aggregate across the boundary.  The shared
+        in-process store keeps the full window once; this is the per-node
+        accounting the node-sharded deployment is built to achieve.
         """
+        if self.fleet_config.replicated:
+            return [float(self.store.window_bytes())] * self.num_shards
         snapshots = self.store.window_snapshots()
         num_nodes = self.store.num_nodes
         feature_row_bytes = [
@@ -396,12 +519,68 @@ class FleetServingEngine(ShardedServingEngine):
         return totals
 
     def report(self) -> ServingReport:
-        """Merged report plus fleet accounting (admission, scaling, halo)."""
-        merged = super().report()
-        merged.engine = f"PiPAD-Fleet-x{self.num_shards}"
-        shard_bytes = self.shard_store_bytes()
+        """One merged report over all shards, plus fleet accounting.
+
+        Latency records concatenate across shards (request ids map back to
+        the global ids ``submit`` returned; batch ids are offset so they
+        stay unique).  ``deltas_ingested`` is a logical per-engine count — a
+        delta every replica absorbs is one update, not ``K`` — so it merges
+        as the max across replicas; ``rows_touched`` is fleet-wide patch
+        *work* — every replica invalidates and re-patches its own cache — so
+        it merges as the sum.
+        """
+        reports = [replica.report() for replica in self.replicas]
+        merged = ServingMetrics()
+        for shard, replica in enumerate(self.replicas):
+            offset = shard * _BATCH_ID_STRIDE
+            for record in replica.metrics.requests:
+                merged.record_request(
+                    dataclasses.replace(
+                        record,
+                        request_id=self._to_global(shard, record.request_id),
+                        batch_id=record.batch_id + offset,
+                    )
+                )
+            for batch in replica.metrics.batches:
+                merged.record_batch(
+                    dataclasses.replace(batch, batch_id=batch.batch_id + offset)
+                )
+        merged.deltas_ingested = max(
+            replica.metrics.deltas_ingested for replica in self.replicas
+        )
+        merged.rows_touched = sum(
+            replica.metrics.rows_touched for replica in self.replicas
+        )
+
+        # Kind-seconds and hit/miss counters add up across shards; horizons,
+        # utilization ratios and cache-size gauges do not (summing K makespans
+        # ~Kx-inflates the clock, summing K buffer gauges ~Kx-inflates the
+        # cache) — those merge as the mean, and makespan as the max below.
+        breakdown = _merge_stat_maps(
+            [report.breakdown for report in reports], _NON_ADDITIVE_BREAKDOWN
+        )
+        breakdown["makespan"] = max(
+            report.breakdown.get("makespan", 0.0) for report in reports
+        )
+        reuse_stats = _merge_stat_maps(
+            [report.reuse_stats for report in reports], _NON_ADDITIVE_REUSE
+        )
         cfg = self.fleet_config
-        merged.extras.update(
+        shard_bytes = self.shard_store_bytes()
+        extras: Dict[str, float] = {"num_shards": float(self.num_shards)}
+        for shard, report in enumerate(reports):
+            extras[f"shard{shard}_requests"] = float(report.metrics.num_requests)
+        extras["per_replica_store_bytes"] = float(np.mean(shard_bytes))
+        # Feature-cache tier counters add up across replicas; the aggregate
+        # recomputes the blended hit rate rather than summing ratios.
+        cache_stats = [
+            replica.feature_cache.stats()
+            for replica in self.replicas
+            if replica.feature_cache is not None
+        ]
+        if cache_stats:
+            extras.update(aggregate_cache_stats(cache_stats))
+        extras.update(
             {
                 "admitted_requests": float(len(self._routes)),
                 "rejected_requests": float(self.rejected_requests),
@@ -417,9 +596,6 @@ class FleetServingEngine(ShardedServingEngine):
                 "halo_gather_bytes": float(self.halo_gather_bytes),
                 "halo_gather_seconds": float(self.halo_gather_seconds),
                 "halo_gather_batches": float(self.halo_gather_batches),
-                # node-sharded footprint overrides the replicated full-window
-                # figure the base merge reports
-                "per_replica_store_bytes": float(np.mean(shard_bytes)),
                 "fleet_store_bytes": float(self.store.window_bytes()),
                 "prefetch_depth": float(self.replicas[0].data.prefetch_depth),
                 "prefetch_host_seconds": float(
@@ -431,8 +607,23 @@ class FleetServingEngine(ShardedServingEngine):
             }
         )
         for shard, value in enumerate(shard_bytes):
-            merged.extras[f"shard{shard}_store_bytes"] = float(value)
-        return merged
+            extras[f"shard{shard}_store_bytes"] = float(value)
+        label = reports[0].engine if cfg.replicated else "PiPAD-Fleet"
+        return ServingReport(
+            engine=f"{label}-x{self.num_shards}",
+            model=reports[0].model,
+            dataset=reports[0].dataset,
+            simulated_seconds=max(r.simulated_seconds for r in reports),
+            wall_seconds=(
+                0.0 if self._wall_start is None else time.perf_counter() - self._wall_start
+            ),
+            metrics=merged,
+            breakdown=breakdown,
+            reuse_stats=reuse_stats,
+            gpu_utilization=float(np.mean([r.gpu_utilization for r in reports])),
+            peak_memory_bytes=max(r.peak_memory_bytes for r in reports),
+            extras=extras,
+        )
 
 
 def build_fleet_serving_engine(
@@ -448,7 +639,7 @@ def build_fleet_serving_engine(
     data: Optional[DataPipeConfig] = None,
     memory: Optional[MemoryConfig] = None,
 ) -> FleetServingEngine:
-    """Wire a node-sharded fleet: one shared store, ``num_shards`` replicas."""
+    """Wire a fleet: one shared store, ``num_shards`` replicas."""
     fleet = fleet or FleetConfig()
     config = config or ServingConfig()
     if isinstance(graph, IncrementalSnapshotStore):

@@ -3,7 +3,7 @@
 :class:`Telemetry` is what the :class:`~repro.api.engine.Engine` owns per
 run.  It builds the callback fan-out a ``TelemetrySpec`` asks for, attaches
 it to whatever machinery the spec resolved to (any trainer, the serving
-scheduler or every replica of a sharded engine, the device group's
+scheduler or every replica of a multi-replica engine, the device group's
 collective path), assembles the per-device :class:`~repro.telemetry.
 chrome_trace.TraceTrack` list for export, and folds the end-of-run result
 records into the metrics registry so ``snapshot()`` is the single flat
@@ -74,17 +74,11 @@ class Telemetry:
             group.add_observer(self.hooks.on_collective)
 
     def attach_serving(self, engine: Any) -> None:
-        """Point a serving engine (single scheduler or sharded replicas)."""
-        replicas = getattr(engine, "replicas", None)
-        if replicas is not None:
-            for replica in replicas:
-                replica.hooks = self.hooks
-            # Engines with their own emission surface (the fleet's autoscale
-            # events) get the live hooks alongside their replicas.
-            if hasattr(engine, "hooks"):
-                engine.hooks = self.hooks
-        else:
-            engine.hooks = self.hooks
+        """Point a serving engine (single scheduler, or a multi-replica
+        engine's autoscale events and every replica) at this runtime."""
+        engine.hooks = self.hooks
+        for replica in getattr(engine, "replicas", ()):
+            replica.hooks = self.hooks
 
     # ------------------------------------------------------------------ tracks
     def training_tracks(self, trainer: Any) -> List[TraceTrack]:

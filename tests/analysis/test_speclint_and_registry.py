@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from repro.analysis import (
@@ -64,6 +66,46 @@ class TestSpecLintRules:
         (violation,) = fired(spec, "spec-dead-memory")
         assert violation.severity == SEVERITY_WARNING
         assert "memory.gpu_budget_mb" in violation.message
+
+    @pytest.mark.parametrize(
+        "knob, value",
+        [
+            ("admission_limit", 8),
+            ("min_replicas", 2),
+            ("max_replicas", 2),
+            ("slo_p99_ms", 5.0),
+            ("partition_mode", "nodes"),
+        ],
+    )
+    def test_dead_fleet_knobs_warn_on_sharded(self, knob, value):
+        serving = dict(SERVING, kind="sharded", num_shards=2, **{knob: value})
+        spec = make_spec(serving=serving)
+        (violation,) = fired(spec, "spec-dead-fleet-knobs")
+        assert violation.severity == SEVERITY_WARNING
+        assert f"serving.{knob}" in violation.message
+        assert "'sharded'" in violation.message
+
+    def test_dead_fleet_knobs_named_together_on_local(self):
+        spec = make_spec(serving=dict(SERVING, admission_limit=8, slo_p99_ms=5.0))
+        (violation,) = fired(spec, "spec-dead-fleet-knobs")
+        assert "serving.admission_limit, serving.slo_p99_ms" in violation.message
+
+    def test_dead_fleet_knobs_silent_where_they_are_read(self):
+        spec_dir = Path(__file__).resolve().parents[2] / "specs"
+        specs = [RunSpec.load(path) for path in sorted(spec_dir.glob("*.json"))]
+        assert specs
+        # The fleet round-trip spec of the RunSpec tests sets every knob.
+        specs.append(
+            make_spec(
+                serving=dict(
+                    SERVING, kind="fleet", num_shards=4, min_replicas=2,
+                    max_replicas=3, admission_limit=8, slo_p99_ms=1.5,
+                    partition_mode="nodes",
+                )
+            )
+        )
+        for spec in specs:
+            assert not fired(spec, "spec-dead-fleet-knobs")
 
     def test_telemetry_paths_without_telemetry(self):
         spec = make_spec(

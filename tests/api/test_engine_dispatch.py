@@ -25,7 +25,7 @@ from repro.core import (
     PipelineTrainer,
 )
 from repro.core.distributed_trainer import DistributedTrainer as CoreDistributedTrainer
-from repro.distributed import FleetServingEngine, ShardedServingEngine
+from repro.distributed import FleetServingEngine
 from repro.graph import load_dataset
 from repro.serving import IncrementalSnapshotStore, ServingConfig, ServingScheduler
 
@@ -102,8 +102,10 @@ class TestServingDispatch:
     def test_sharded_serving_resolves_sharded_engine(self):
         spec = RunSpec(serving=ServingSpec(kind="sharded", num_shards=3), **_QUICK)
         engine = Engine.from_spec(spec)
-        assert type(engine.serving_engine) is ShardedServingEngine
+        assert type(engine.serving_engine) is FleetServingEngine
+        assert engine.serving_engine.fleet_config.replicated
         assert engine.serving_engine.num_shards == 3
+        assert engine.serving_engine.active_replicas == 3
 
     def test_fleet_serving_resolves_fleet_engine(self):
         spec = RunSpec(
@@ -311,7 +313,8 @@ class TestShippedSpecs:
         engine = Engine.from_spec(SPEC_DIR / "serve_sharded.json")
         report = engine.run()
         assert report.serving is not None
-        assert type(engine.serving_engine) is ShardedServingEngine
+        assert type(engine.serving_engine) is FleetServingEngine
+        assert engine.serving_engine.fleet_config.replicated
         assert engine.serving_engine.num_shards == 2
         assert report.serving.metrics.num_requests > 0
         assert report.serving.extras["num_shards"] == 2.0

@@ -15,7 +15,7 @@ import pytest
 
 from repro.api import Engine
 from repro.core.tuner import OfflineAnalysis
-from repro.distributed import FleetConfig, build_fleet_serving_engine, build_sharded_serving_engine
+from repro.distributed import FleetConfig, build_fleet_serving_engine
 from repro.nn import build_model
 from repro.serving import ServingConfig
 
@@ -80,6 +80,11 @@ class TestSharedServingTuner:
 
     def test_sharded_replicas_share_one_tuner(self, small_graph, table_builds):
         model = build_model("tgcn", small_graph.feature_dim, 8, seed=0)
-        sharded = build_sharded_serving_engine(small_graph, model, 3, ServingConfig(window=4))
+        sharded = build_fleet_serving_engine(
+            small_graph,
+            model,
+            FleetConfig(num_shards=3, min_replicas=3, replicated=True),
+            ServingConfig(window=4),
+        )
         assert len(table_builds) == 1
         assert len({id(replica.policy.tuner) for replica in sharded.replicas}) == 1

@@ -283,6 +283,14 @@ class TestMaterialization:
         assert cfg.slo_p99_ms == 3.0
         assert cfg.partition_mode == "nodes"
         assert cfg.replica_ceiling == 4
+        assert not cfg.replicated
+
+    def test_sharded_spec_materializes_replicated_preset(self):
+        cfg = ServingSpec(kind="sharded", num_shards=3).to_fleet_config()
+        assert cfg.replicated
+        # A fixed pool of all shards with no admission limit.
+        assert cfg.min_replicas == cfg.replica_ceiling == 3
+        assert cfg.admission_limit >= 2**62
 
     def test_data_spec_materializes_pipe_config(self):
         from repro.core.datapipe import DataPipeConfig

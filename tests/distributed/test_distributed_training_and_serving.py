@@ -1,6 +1,8 @@
-"""Tests for the data-parallel trainer and the sharded serving entry point."""
+"""Tests for the data-parallel trainer and the replicated serving preset."""
 
 from __future__ import annotations
+
+import sys
 
 import numpy as np
 import pytest
@@ -12,9 +14,20 @@ from repro.core import (
     PiPADConfig,
     PiPADTrainer,
 )
-from repro.distributed import build_sharded_serving_engine
+from repro.distributed import FleetConfig, build_fleet_serving_engine
 from repro.nn import build_model
 from repro.serving import synthesize_serving_trace
+
+
+def build_replicated(graph, model, num_shards, config=None, **kwargs):
+    """Round-robin replication of full replicas: the ``sharded`` preset."""
+    fleet = FleetConfig(
+        num_shards=num_shards,
+        min_replicas=num_shards,
+        admission_limit=sys.maxsize,
+        replicated=True,
+    )
+    return build_fleet_serving_engine(graph, model, fleet, config, **kwargs)
 
 
 @pytest.fixture()
@@ -147,7 +160,7 @@ class TestDistributedTrainer:
 class TestShardedServing:
     def make_engine(self, graph, num_shards):
         model = build_model("tgcn", graph.feature_dim, 8, seed=0)
-        return build_sharded_serving_engine(graph, model, num_shards)
+        return build_replicated(graph, model, num_shards)
 
     def test_requests_conserved_across_shards(self, small_graph):
         engine = self.make_engine(small_graph, 3)
@@ -170,6 +183,32 @@ class TestShardedServing:
         assert report.metrics.deltas_ingested == num_deltas
         versions = {tuple(r.store.window_versions()) for r in engine.replicas}
         assert len(versions) == 1  # all shards serve the same head state
+
+    def test_replicas_share_one_store(self, small_graph):
+        engine = self.make_engine(small_graph, 3)
+        assert len({id(replica.store) for replica in engine.replicas}) == 1
+        assert engine.store is engine.replicas[0].store
+
+    def test_each_delta_applied_once(self, small_graph):
+        """The shared store applies a delta once, not once per replica."""
+        engine = self.make_engine(small_graph, 3)
+        trace = synthesize_serving_trace(small_graph[-1], 40, seed=7)
+        engine.run_trace(trace)
+        num_deltas = sum(1 for e in trace if e.kind == "delta")
+        assert num_deltas > 0
+        assert engine.store.deltas_applied == num_deltas
+
+    def test_replicated_pool_charges_no_halo_and_caches_all_rows(self, small_graph):
+        from repro.memory import MemoryConfig
+
+        model = build_model("tgcn", small_graph.feature_dim, 8, seed=0)
+        engine = build_replicated(
+            small_graph, model, 2, memory=MemoryConfig(feature_cache=True)
+        )
+        engine.run_trace(synthesize_serving_trace(small_graph[-1], 40, seed=3))
+        assert engine.halo_gather_batches == 0
+        for replica in engine.replicas:
+            assert (replica._cache_lo, replica._cache_hi) == (0, small_graph.num_nodes)
 
     def test_routing_is_recorded(self, small_graph):
         engine = self.make_engine(small_graph, 2)
@@ -233,10 +272,10 @@ class TestShardedServing:
         )
         model = build_model("tgcn", small_graph.feature_dim, 8, seed=0)
         config = ServingConfig(window=4, max_batch_requests=2, max_delay_ms=0.05)
-        one = build_sharded_serving_engine(
+        one = build_replicated(
             small_graph, model, 1, config, scale=500.0
         ).run_trace(trace)
-        four = build_sharded_serving_engine(
+        four = build_replicated(
             small_graph, model, 4, config, scale=500.0
         ).run_trace(trace)
         assert four.metrics.mean_latency < one.metrics.mean_latency
@@ -256,7 +295,7 @@ class TestShardedServing:
     def test_zero_shards_rejected(self, small_graph):
         model = build_model("tgcn", small_graph.feature_dim, 8, seed=0)
         with pytest.raises(ValueError):
-            build_sharded_serving_engine(small_graph, model, 0)
+            build_replicated(small_graph, model, 0)
 
 
 class TestReportMergeBugfixes:
@@ -270,7 +309,7 @@ class TestReportMergeBugfixes:
 
     def make_engine(self, graph, num_shards):
         model = build_model("tgcn", graph.feature_dim, 8, seed=0)
-        return build_sharded_serving_engine(graph, model, num_shards)
+        return build_replicated(graph, model, num_shards)
 
     def deltas_from_trace(self, graph, seed=7):
         trace = synthesize_serving_trace(graph[-1], 40, seed=seed)

@@ -9,7 +9,6 @@ from repro.distributed import (
     FleetConfig,
     FleetServingEngine,
     build_fleet_serving_engine,
-    build_sharded_serving_engine,
 )
 from repro.memory import MemoryConfig
 from repro.nn import build_model
@@ -416,10 +415,14 @@ class TestDeterminismAndParity:
         assert engines[0].scale_events == engines[1].scale_events
         assert a.simulated_seconds == b.simulated_seconds
 
+    @pytest.mark.parametrize("replicated", [False, True])
     @pytest.mark.parametrize("enable_reuse", [False, True])
-    def test_predictions_match_single_device(self, small_graph, enable_reuse):
-        """Node-sharding, routing and halo gathers are scheduling-only: every
-        admitted request's prediction rows match the single-device engine.
+    def test_predictions_match_single_device(
+        self, small_graph, enable_reuse, replicated
+    ):
+        """Node-sharding or replication, routing and halo gathers are
+        scheduling-only: every admitted request's prediction rows match the
+        single-device engine.
 
         With the reuse cache off the match is bit-identical.  With it on, the
         incremental delta patch depends on which session was warm when the
@@ -438,7 +441,12 @@ class TestDeterminismAndParity:
         fleet = build_fleet_serving_engine(
             small_graph,
             model,
-            FleetConfig(num_shards=3, min_replicas=3, admission_limit=1024),
+            FleetConfig(
+                num_shards=3,
+                min_replicas=3,
+                admission_limit=1024,
+                replicated=replicated,
+            ),
             config,
         )
         trace = synthesize_serving_trace(small_graph[-1], 60, seed=13)
@@ -492,8 +500,9 @@ class TestFleetValidation:
 
     def test_replicas_must_share_the_store(self, small_graph):
         model = build_model("tgcn", small_graph.feature_dim, 8, seed=0)
-        sharded = build_sharded_serving_engine(small_graph, model, 2)
+        replicas = [_build_serving_scheduler(small_graph, model) for _ in range(2)]
+        assert replicas[0].store is not replicas[1].store
         with pytest.raises(ValueError, match="share one IncrementalSnapshotStore"):
             FleetServingEngine(
-                sharded.replicas, sharded.replicas[0].store, FleetConfig(num_shards=2)
+                replicas, replicas[0].store, FleetConfig(num_shards=2)
             )
