@@ -21,7 +21,7 @@ hand-wired                                      spec
 ==============================================  =====================================
 ``PyGTTrainer(graph, cfg).train()``             ``Engine.from_spec(RunSpec(method="pygt", ...)).train()``
 ``PiPADTrainer(graph, cfg, pipad_cfg)``         ``RunSpec(method="pipad", pipad={...overrides...})``
-``DistributedTrainer(graph, cfg, pc, dc)``      ``RunSpec(device={"kind": "group", "num_devices": K})``
+``PiPADTrainer(graph, cfg, placement=pl)``      ``RunSpec(device={"kind": "group", "num_devices": K})``
 ``ServingScheduler(model, store, sc)``          ``RunSpec(serving={...}) + engine.serve()``
 ``build_fleet_serving_engine(...)``             ``RunSpec(serving={"kind": "sharded" or "fleet", "num_shards": K})``
 ==============================================  =====================================

@@ -23,7 +23,8 @@ Sub-packages
 - :mod:`repro.serving` — streaming inference: incremental snapshot store,
   forward-only sessions, micro-batching and the pipelined serving scheduler.
 - :mod:`repro.distributed` — multi-GPU sharding: graph partitioner, device
-  group with ring collectives, data-parallel trainer and multi-replica serving.
+  group with ring collectives, multi-device placements and multi-replica
+  serving.
 - :mod:`repro.profiling` — breakdowns, utilization, load-balance analysis.
 - :mod:`repro.experiments` — one module per paper table/figure.
 - :mod:`repro.telemetry` — observability: span tracing, Chrome-trace export,
@@ -73,11 +74,8 @@ _LAZY_EXPORTS = {
     # PiPAD runtime
     "PiPADConfig": "repro.core",
     "PiPADTrainer": "repro.core",
+    "Placement": "repro.core",
     # distributed execution
-    "DistributedConfig": "repro.distributed",
-    "DistributedTrainer": "repro.distributed",
-    "PipelineConfig": "repro.distributed",
-    "PipelineTrainer": "repro.distributed",
     "DeviceGroup": "repro.distributed",
     "FramePartitioner": "repro.distributed",
     "FrameStage": "repro.distributed",

@@ -165,7 +165,7 @@ def _collect_side(
         name = f"{prefix}{index}"
         artifacts.devices.append((name, domain, device))
         artifacts.timelines.append((name, domain, device.timeline))
-    if group is not None and len(getattr(group, "devices", [])) > 1:
+    if group is not None and group.num_devices > 1:
         artifacts.groups.append((prefix.rstrip("_") or prefix, domain, group))
     for index, cache in enumerate(caches):
         if cache is not None:
@@ -177,21 +177,16 @@ def collect_artifacts(
 ) -> ExecutionArtifacts:
     """Duck-typed artifact gathering, mirroring how telemetry attaches.
 
-    Trainers expose ``device``/``group``/``feature_caches``; serving engines
+    Trainers expose ``group`` (and PiPAD ``feature_caches``); serving engines
     expose either ``replicas`` (sharded/fleet) or a single ``device`` plus
     ``feature_cache``.  Unknown shapes contribute nothing rather than fail:
     the sanitizer must run against any engine telemetry can trace.
     """
     artifacts = ExecutionArtifacts()
     if trainer is not None:
-        group = getattr(trainer, "group", None)
-        devices = list(group.devices) if group is not None else [trainer.device]
-        caches = list(getattr(trainer, "feature_caches", []) or [])
-        if not caches:
-            single = getattr(trainer, "feature_cache", None)
-            if single is not None:
-                caches = [single]
-        _collect_side(artifacts, "train", "gpu", devices, group, caches)
+        group = trainer.group
+        caches = getattr(trainer, "feature_caches", ())
+        _collect_side(artifacts, "train", "gpu", group.devices, group, caches)
     if serving_engine is not None:
         replicas = getattr(serving_engine, "replicas", None)
         if replicas is None:

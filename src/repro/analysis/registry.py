@@ -125,6 +125,24 @@ register_check(
     _static(speclint.lint_dead_fleet_knobs),
 )
 register_check(
+    "spec-dead-device-knobs",
+    FAMILY_STATIC,
+    "schedule/partition_mode/interconnect are not set on a kind that ignores them",
+    _static(speclint.lint_dead_device_knobs),
+)
+register_check(
+    "spec-idle-pipeline-stages",
+    FAMILY_STATIC,
+    "every pipeline stage gets a partition of a full frame",
+    _static(speclint.lint_idle_pipeline_stages),
+)
+register_check(
+    "spec-no-steady-epochs",
+    FAMILY_STATIC,
+    "device/data knobs get at least one steady (post-preparing) epoch",
+    _static(speclint.lint_no_steady_epochs),
+)
+register_check(
     "spec-telemetry-paths",
     FAMILY_STATIC,
     "trace/report paths require telemetry to be enabled",

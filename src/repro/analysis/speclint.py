@@ -226,3 +226,96 @@ def lint_prefetch_pipeline(spec: object) -> List[Violation]:
         )
         for switch in switches
     ]
+
+
+#: device knobs and the placement kinds that read them
+_DEVICE_KNOB_KINDS = (
+    ("schedule", ("pipeline",)),
+    ("partition_mode", ("group",)),
+    ("interconnect", ("group", "pipeline")),
+)
+
+
+def lint_dead_device_knobs(spec: object) -> List[Violation]:
+    """Device knobs another placement kind reads do nothing."""
+    device = spec.device
+    defaults = {f.name: f.default for f in fields(device)}
+    dead = [
+        f"device.{knob}"
+        for knob, kinds in _DEVICE_KNOB_KINDS
+        if device.kind not in kinds and getattr(device, knob) != defaults[knob]
+    ]
+    if not dead:
+        return []
+    return [
+        Violation(
+            check="spec-dead-device-knobs",
+            message=(
+                f"{', '.join(dead)} set while device.kind is {device.kind!r}, "
+                "which never reads them; switch the kind or drop the knobs"
+            ),
+            severity=SEVERITY_WARNING,
+            source="spec.device",
+        )
+    ]
+
+
+def lint_idle_pipeline_stages(spec: object) -> List[Violation]:
+    """Every pipeline stage should own a partition of a full frame."""
+    from repro.graph.partition import FramePartitioner
+
+    device = spec.device
+    if device.kind != "pipeline":
+        return []
+    pipad = spec.pipad_config()
+    s_per = pipad.fixed_s_per or min(pipad.s_per_candidates)
+    groups = -(-spec.frame_size // s_per)
+    stages = FramePartitioner(device.num_devices, schedule=device.schedule)
+    busy = len(set(stages.assign(groups).tolist()))
+    if busy >= device.num_devices:
+        return []
+    return [
+        Violation(
+            check="spec-idle-pipeline-stages",
+            message=(
+                f"device.num_devices ({device.num_devices}) exceeds the {groups} "
+                f"snapshot group(s) per frame (frame_size={spec.frame_size}, "
+                f"s_per={s_per}): {device.num_devices - busy} stage(s) never "
+                "get work; lower num_devices or the partition size"
+            ),
+            severity=SEVERITY_WARNING,
+            source="spec.device",
+        )
+    ]
+
+
+def lint_no_steady_epochs(spec: object) -> List[Violation]:
+    """Device/data knobs only act in PiPAD's steady (post-preparing) epochs."""
+    if spec.method != "pipad":
+        return []
+    preparing = spec.pipad_config().preparing_epochs
+    if spec.epochs > preparing:
+        return []
+    defaults = {f.name: f.default for f in fields(spec.data)}
+    knobs = [
+        f"data.{name}"
+        for name, default in defaults.items()
+        if getattr(spec.data, name) != default
+    ]
+    if spec.device.kind != "single":
+        knobs.insert(0, f"device.kind={spec.device.kind!r}")
+    if not knobs:
+        return []
+    return [
+        Violation(
+            check="spec-no-steady-epochs",
+            message=(
+                f"epochs ({spec.epochs}) <= pipad.preparing_epochs ({preparing}): "
+                "every epoch runs the canonical schedule on the lead device, so "
+                f"{', '.join(knobs)} never take effect; add epochs or drop the "
+                "knobs"
+            ),
+            severity=SEVERITY_WARNING,
+            source="spec",
+        )
+    ]

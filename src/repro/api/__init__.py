@@ -1,7 +1,7 @@
 """Unified entry layer: declarative specs, one engine, one report.
 
-Instead of hand-wiring trainers (``PiPADTrainer(...)``,
-``DistributedTrainer(...)``) and serving engines (``ServingScheduler(...)``,
+Instead of hand-wiring trainers (``PiPADTrainer(..., placement=...)``) and
+serving engines (``ServingScheduler(...)``,
 ``build_fleet_serving_engine``), every scenario is described by a
 serializable :class:`RunSpec` and executed by one :class:`Engine`:
 

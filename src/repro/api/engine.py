@@ -3,9 +3,8 @@
 ``Engine.from_spec(...)`` accepts a :class:`~repro.api.spec.RunSpec` (or a
 dict / JSON file path) and resolves it through the registries in
 :mod:`repro.api.registries` into the right concrete machinery —
-:class:`~repro.core.trainer.PiPADTrainer`, any PyGT variant,
-:class:`~repro.core.distributed_trainer.DistributedTrainer`,
-:class:`~repro.serving.scheduler.ServingScheduler` or
+:class:`~repro.core.trainer.PiPADTrainer` (on any device placement), any
+PyGT variant, :class:`~repro.serving.scheduler.ServingScheduler` or
 :class:`~repro.distributed.fleet.FleetServingEngine` — behind one
 ``train()`` / ``serve()`` / ``report()`` lifecycle.  Numerics are untouched:
 the engine builds exactly the objects the old hand-wired entry points built,
@@ -29,7 +28,7 @@ from repro.api import registries
 from repro.api.spec import RunSpec
 from repro.baselines.base import DGNNTrainerBase
 from repro.baselines.results import TrainingResult
-from repro.core.distributed_trainer import COLLECTIVE_KEYS
+from repro.gpu.device_group import COLLECTIVE_KEYS
 from repro.graph.datasets import load_dataset
 from repro.graph.dynamic_graph import DynamicGraph
 from repro.nn.base_model import DGNNModel
@@ -268,7 +267,7 @@ class Engine:
     def train(self) -> TrainingResult:
         """Run the training phase and cache its result."""
         trainer = self.trainer
-        self.telemetry.hooks.on_phase_start("train", trainer._sim_now())
+        self.telemetry.hooks.on_phase_start("train", trainer.group.makespan())
         self._training = trainer.train()
         self.telemetry.hooks.on_phase_end("train", self._training.simulated_seconds)
         return self._training

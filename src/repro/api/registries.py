@@ -8,9 +8,9 @@ Four registries cover the whole construction space:
 - :data:`MODEL_REGISTRY` and :data:`DATASET_ORDER` are re-exports of the
   existing model/dataset name spaces;
 - :data:`DEVICE_REGISTRY` maps a device topology kind to the builder that
-  wires a trainer for it (``single`` → the method's own trainer class,
-  ``group`` → :class:`~repro.core.distributed_trainer.DistributedTrainer`,
-  ``pipeline`` → :class:`~repro.core.pipeline_trainer.PipelineTrainer`);
+  wires a trainer for it: the method's own trainer class on ``single``, and
+  :class:`~repro.core.trainer.PiPADTrainer` executing the spec's
+  :class:`~repro.core.placement.Placement` on every kind;
 - :data:`SERVING_REGISTRY` maps a serving topology kind to the builder that
   wires the online engine (``local`` → one
   :class:`~repro.serving.scheduler.ServingScheduler`; ``sharded`` and
@@ -52,50 +52,19 @@ def list_methods() -> List[str]:
 
 
 # ------------------------------------------------------------------ devices
-def _build_single_device_trainer(spec: RunSpec, graph: DynamicGraph) -> DGNNTrainerBase:
+def _build_device_trainer(spec: RunSpec, graph: DynamicGraph) -> DGNNTrainerBase:
+    """The one device builder: PiPAD executes the spec's placement; the
+    baselines (single-device only, see ``RunSpec``) take the trainer config."""
     cls = trainer_registry()[spec.method]
-    if spec.method == "pipad":
-        return cls(
-            graph,
-            spec.trainer_config(),
-            pipad_config=spec.pipad_config(),
-            data_config=spec.data.to_pipe_config(),
-            memory_config=spec.memory.to_memory_config(),
-        )
-    return cls(graph, spec.trainer_config())
-
-
-def _build_group_trainer(spec: RunSpec, graph: DynamicGraph) -> DGNNTrainerBase:
-    from repro.core.distributed_trainer import DistributedConfig, DistributedTrainer
-
-    return DistributedTrainer(
+    if spec.method != "pipad":
+        return cls(graph, spec.trainer_config())
+    return cls(
         graph,
         spec.trainer_config(),
         pipad_config=spec.pipad_config(),
-        dist_config=DistributedConfig(
-            num_devices=spec.device.num_devices,
-            partition_mode=spec.device.partition_mode,
-            interconnect=spec.device.interconnect,
-        ),
         data_config=spec.data.to_pipe_config(),
         memory_config=spec.memory.to_memory_config(),
-    )
-
-
-def _build_pipeline_trainer(spec: RunSpec, graph: DynamicGraph) -> DGNNTrainerBase:
-    from repro.core.pipeline_trainer import PipelineConfig, PipelineTrainer
-
-    return PipelineTrainer(
-        graph,
-        spec.trainer_config(),
-        pipad_config=spec.pipad_config(),
-        pipe_config=PipelineConfig(
-            num_devices=spec.device.num_devices,
-            interconnect=spec.device.interconnect,
-            schedule=spec.device.schedule,
-        ),
-        data_config=spec.data.to_pipe_config(),
-        memory_config=spec.memory.to_memory_config(),
+        placement=spec.device.to_placement(),
     )
 
 
@@ -112,17 +81,17 @@ DEVICE_REGISTRY: Dict[str, DeviceKind] = {
     "single": DeviceKind(
         "single",
         "one simulated GPU; the method's own trainer class",
-        _build_single_device_trainer,
+        _build_device_trainer,
     ),
     "group": DeviceKind(
         "group",
-        "K-device group with ring collectives (DistributedTrainer)",
-        _build_group_trainer,
+        "PiPADTrainer, K node shards: halo exchange, all_gather, all_reduce",
+        _build_device_trainer,
     ),
     "pipeline": DeviceKind(
         "pipeline",
-        "K-stage frame pipeline with p2p state handoff (PipelineTrainer)",
-        _build_pipeline_trainer,
+        "PiPADTrainer, K-stage frame pipeline: p2p state handoff, all_reduce",
+        _build_device_trainer,
     ),
 }
 

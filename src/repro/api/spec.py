@@ -23,14 +23,9 @@ from pathlib import Path
 from typing import Any, Dict, Mapping, Optional, Tuple, Type, TypeVar, Union
 
 from repro.core.config import PiPADConfig
-from repro.graph.partition import PARTITION_MODES, SCHEDULE_MODES
-from repro.utils.validation import check_positive
-
-#: peer-link models understood by :class:`~repro.gpu.interconnect.Interconnect`
-INTERCONNECT_KINDS: Tuple[str, ...] = ("nvlink", "pcie")
-
-#: device topologies understood by the engine (keys of ``DEVICE_REGISTRY``)
-DEVICE_KINDS: Tuple[str, ...] = ("single", "group", "pipeline")
+from repro.core.placement import INTERCONNECT_KINDS, Placement
+from repro.core.placement import PLACEMENT_KINDS as DEVICE_KINDS
+from repro.utils.validation import check_positive, known_choices
 
 #: serving topologies understood by the engine (keys of ``SERVING_REGISTRY``)
 SERVING_KINDS: Tuple[str, ...] = ("local", "sharded", "fleet")
@@ -41,17 +36,13 @@ PIPAD_FIELDS: Tuple[str, ...] = tuple(f.name for f in fields(PiPADConfig))
 _T = TypeVar("_T", bound="_SpecBase")
 
 
-def _known_choices(valid: Union[Mapping[str, Any], Tuple[str, ...], list]) -> str:
-    return ", ".join(sorted(valid))
-
-
 def _reject_unknown_keys(cls: type, data: Mapping[str, Any]) -> None:
     valid = {f.name for f in fields(cls)}
     unknown = set(data) - valid
     if unknown:
         raise ValueError(
             f"unknown {cls.__name__} key(s) {sorted(unknown)}; "
-            f"valid keys: {_known_choices(valid)}"
+            f"valid keys: {known_choices(valid)}"
         )
 
 
@@ -104,52 +95,17 @@ class _SpecBase:
 
 
 @dataclass(frozen=True)
-class DeviceSpec(_SpecBase):
-    """Device topology: one GPU, a sharded group, or a frame pipeline."""
+class DeviceSpec(_SpecBase, Placement):
+    """Device topology: one GPU, a sharded group, or a frame pipeline.
 
-    #: ``"single"`` (one simulated GPU), ``"group"`` (node-sharded device
-    #: group) or ``"pipeline"`` (snapshot groups pipelined across devices)
-    kind: str = "single"
-    #: number of devices in the group/pipeline (must be 1 for ``"single"``)
-    num_devices: int = 1
-    #: peer-link model between group devices (``"nvlink"`` or ``"pcie"``)
-    interconnect: str = "nvlink"
-    #: node-assignment strategy of the partitioner (``"edges"`` or ``"nodes"``;
-    #: only consulted by kind ``"group"``)
-    partition_mode: str = "edges"
-    #: stage-assignment strategy of the frame partitioner (``"round_robin"``
-    #: or ``"blocked"``; only consulted by kind ``"pipeline"``)
-    schedule: str = "round_robin"
+    The serializable form of :class:`~repro.core.placement.Placement`: the
+    same fields (``kind``, ``num_devices``, ``interconnect``,
+    ``partition_mode``, ``schedule``), defaults and validation.
+    """
 
-    def __post_init__(self) -> None:
-        if self.kind not in DEVICE_KINDS:
-            raise ValueError(
-                f"unknown device kind {self.kind!r}; valid kinds: "
-                f"{_known_choices(DEVICE_KINDS)}"
-            )
-        check_positive("num_devices", self.num_devices)
-        if self.kind == "single" and self.num_devices != 1:
-            raise ValueError(
-                f"device kind 'single' requires num_devices=1, got {self.num_devices}; "
-                "use kind='group' or kind='pipeline' for multi-device runs"
-            )
-        # 'group' and 'pipeline' allow num_devices=1: a one-device run is the
-        # reference of scaling sweeps (same trainer class, no collectives).
-        if self.interconnect not in INTERCONNECT_KINDS:
-            raise ValueError(
-                f"unknown interconnect {self.interconnect!r}; valid kinds: "
-                f"{_known_choices(INTERCONNECT_KINDS)}"
-            )
-        if self.partition_mode not in PARTITION_MODES:
-            raise ValueError(
-                f"unknown partition_mode {self.partition_mode!r}; valid modes: "
-                f"{_known_choices(tuple(PARTITION_MODES))}"
-            )
-        if self.schedule not in SCHEDULE_MODES:
-            raise ValueError(
-                f"unknown schedule {self.schedule!r}; valid schedules: "
-                f"{_known_choices(tuple(SCHEDULE_MODES))}"
-            )
+    def to_placement(self) -> Placement:
+        """The :class:`~repro.core.placement.Placement` the trainer executes."""
+        return Placement(**{f.name: getattr(self, f.name) for f in fields(Placement)})
 
 
 @dataclass(frozen=True)
@@ -203,7 +159,7 @@ class TelemetrySpec(_SpecBase):
         if unknown:
             raise ValueError(
                 f"unknown telemetry callback(s) {sorted(unknown)}; "
-                f"valid callbacks: {_known_choices(CALLBACK_REGISTRY)}"
+                f"valid callbacks: {known_choices(CALLBACK_REGISTRY)}"
             )
 
 
@@ -293,7 +249,7 @@ class MemorySpec(_SpecBase):
         if self.policy not in CACHE_POLICY_REGISTRY:
             raise ValueError(
                 f"unknown cache policy {self.policy!r}; valid policies: "
-                f"{_known_choices(CACHE_POLICY_REGISTRY)}"
+                f"{known_choices(CACHE_POLICY_REGISTRY)}"
             )
         if not 0.0 <= self.gpu_budget_fraction <= 1.0:
             raise ValueError(
@@ -366,7 +322,7 @@ class ServingSpec(_SpecBase):
         if self.kind not in SERVING_KINDS:
             raise ValueError(
                 f"unknown serving kind {self.kind!r}; valid kinds: "
-                f"{_known_choices(SERVING_KINDS)}"
+                f"{known_choices(SERVING_KINDS)}"
             )
         check_positive("num_shards", self.num_shards)
         if self.kind == "local" and self.num_shards != 1:
@@ -385,7 +341,7 @@ class ServingSpec(_SpecBase):
         if self.partition_mode not in PARTITION_MODES:
             raise ValueError(
                 f"unknown partition_mode {self.partition_mode!r}; valid modes: "
-                f"{_known_choices(tuple(PARTITION_MODES))}"
+                f"{known_choices(tuple(PARTITION_MODES))}"
             )
         ceiling = self.num_shards if self.max_replicas is None else self.max_replicas
         if not self.min_replicas <= ceiling <= self.num_shards:
@@ -521,20 +477,20 @@ class RunSpec(_SpecBase):
         if dataset_key not in DATASET_ORDER:
             raise ValueError(
                 f"unknown dataset {self.dataset!r}; valid datasets: "
-                f"{_known_choices(tuple(DATASET_ORDER))}"
+                f"{known_choices(tuple(DATASET_ORDER))}"
             )
         model_key = self.model.lower().replace("-", "_")
         if model_key not in MODEL_REGISTRY:
             raise ValueError(
                 f"unknown model {self.model!r}; valid models: "
-                f"{_known_choices(MODEL_REGISTRY)}"
+                f"{known_choices(MODEL_REGISTRY)}"
             )
         method_key = self.method.lower().replace("_", "-")
         registry = _registry()
         if method_key not in registry:
             raise ValueError(
                 f"unknown method {self.method!r}; valid methods: "
-                f"{_known_choices(registry)}"
+                f"{known_choices(registry)}"
             )
         check_positive("num_snapshots", self.num_snapshots)
         check_positive("frame_size", self.frame_size)
@@ -546,12 +502,12 @@ class RunSpec(_SpecBase):
         if unknown:
             raise ValueError(
                 f"unknown PiPADConfig override(s) {sorted(unknown)}; "
-                f"valid keys: {_known_choices(PIPAD_FIELDS)}"
+                f"valid keys: {known_choices(PIPAD_FIELDS)}"
             )
         if self.device.kind != "single" and method_key != "pipad":
             raise ValueError(
                 f"device kind {self.device.kind!r} is only supported by method "
-                f"'pipad' (DistributedTrainer/PipelineTrainer), got method "
+                f"'pipad' (PiPADTrainer runs every placement), got method "
                 f"{self.method!r}"
             )
         # Frozen dataclass: normalize names via object.__setattr__ so the

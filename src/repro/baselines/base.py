@@ -2,8 +2,10 @@
 
 All trainers — the four PyGT variants here and PiPAD in
 :mod:`repro.core.trainer` — derive from :class:`DGNNTrainerBase`.  The base
-class owns the dataset, the model, the optimizer, the simulated GPU, the loss
-definition, and the frame/epoch loops; subclasses customize
+class owns the dataset, the model, the optimizer, the simulated GPU (the lead
+of a :class:`~repro.gpu.device_group.DeviceGroup`, one device unless PiPAD's
+placement asks for more), the loss definition, and the frame/epoch loops;
+subclasses customize
 
 - how a frame is split into partitions,
 - what data is transferred for each partition and on which stream,
@@ -29,7 +31,7 @@ from repro.graph.datasets import get_dataset_spec
 from repro.graph.dynamic_graph import DynamicGraph
 from repro.graph.frame import DEFAULT_FRAME_SIZE, Frame, FrameIterator
 from repro.graph.snapshot import GraphSnapshot
-from repro.gpu.device import SimulatedGPU
+from repro.gpu.device_group import DeviceGroup
 from repro.gpu.kernel_cost import KernelCost
 from repro.gpu.profiler import KernelCostCollector
 from repro.gpu.spec import GPUSpec, HostSpec, PCIeSpec
@@ -85,13 +87,24 @@ class DGNNTrainerBase:
     use_reuse = False
     #: whether kernels are launched through CUDA Graphs (reduced launch cost)
     use_cuda_graph = False
+    #: devices in the run's group and the peer link between them (PiPAD's
+    #: multi-device placements raise the count)
+    num_devices = 1
+    interconnect = "nvlink"
 
     def __init__(self, graph: DynamicGraph, config: Optional[TrainerConfig] = None) -> None:
         self.graph = graph
         self.config = config or TrainerConfig()
-        self.device = SimulatedGPU(
-            self.config.gpu, self.config.pcie, self.config.host, use_cuda_graph=self.use_cuda_graph
+        #: every device the run schedules on; ``device`` is its lead
+        self.group = DeviceGroup(
+            self.num_devices,
+            gpu=self.config.gpu,
+            pcie=self.config.pcie,
+            host=self.config.host,
+            interconnect_kind=self.interconnect,
+            use_cuda_graph=self.use_cuda_graph,
         )
+        self.device = self.group.lead
         self.scale = self._resolve_scale()
         hidden = self.config.hidden_dim or self._default_hidden_dim()
         self.model: DGNNModel = build_model(
@@ -109,14 +122,6 @@ class DGNNTrainerBase:
         self._epoch_boundaries: List[float] = [0.0]
 
     # ------------------------------------------------------------------ helpers
-    def _sim_now(self) -> float:
-        """Current simulated time hook events are stamped with.
-
-        Group trainers override this with the group makespan so events line
-        up with the multi-device clock.
-        """
-        return self.device.elapsed_seconds()
-
     def _resolve_scale(self) -> float:
         if self.config.cost_scale is not None:
             return float(self.config.cost_scale)
@@ -250,9 +255,9 @@ class DGNNTrainerBase:
     ) -> List[TimelineOp]:
         """Account one partition's forward kernels on the device(s).
 
-        The distributed trainer overrides this to fan the launches out across
-        a device group with per-shard cost scaling; the default schedules on
-        the single simulated device.
+        PiPAD's multi-device placements override this to fan the launches
+        out across the device group; the default schedules on the single
+        simulated device.
         """
         self.device.host_op(
             self._dispatch_seconds(sum(c.launches for c in costs)),
@@ -269,8 +274,8 @@ class DGNNTrainerBase:
     def _launch_backward(
         self, costs: Sequence[KernelCost], last_compute: Sequence[TimelineOp]
     ) -> List[TimelineOp]:
-        """Account the frame's backward kernels (and, distributed, the gradient
-        all-reduce that follows them)."""
+        """Account the frame's backward kernels (and, on a multi-device
+        placement, the gradient all-reduce that follows them)."""
         self.device.host_op(
             self._dispatch_seconds(sum(c.launches for c in costs)),
             label="dispatch_bwd",
@@ -322,13 +327,13 @@ class DGNNTrainerBase:
     def run_epoch(self, epoch: int) -> EpochMetrics:
         start = self.device.elapsed_seconds()
         start_breakdown = self.device.timeline.kind_seconds()
-        hook_start = self._sim_now()
+        hook_start = self.group.makespan()
         self.hooks.on_epoch_start(epoch, hook_start)
         losses = []
         for frame in self.frames:
-            frame_start = self._sim_now()
+            frame_start = self.group.makespan()
             loss = self._train_frame(frame, epoch)
-            self.hooks.on_frame(frame.index, epoch, frame_start, self._sim_now(), loss)
+            self.hooks.on_frame(frame.index, epoch, frame_start, self.group.makespan(), loss)
             losses.append(loss)
         end = self.device.elapsed_seconds()
         end_breakdown = self.device.timeline.kind_seconds()
@@ -344,36 +349,48 @@ class DGNNTrainerBase:
         )
         self._loss_history.append(metrics.loss)
         self._epoch_boundaries.append(end)
-        self.hooks.on_epoch_end(epoch, metrics, hook_start, self._sim_now())
+        self.hooks.on_epoch_end(epoch, metrics, hook_start, self.group.makespan())
         return metrics
 
     def train(self, epochs: Optional[int] = None) -> TrainingResult:
-        """Run the full training and return the collected metrics."""
+        """Run the full training and return the collected metrics.
+
+        Extensive counters (clock, category seconds, launches, memory) cover
+        every device of the group — on a multi-device placement the lead
+        only carries its share of the work.  ``epoch_metrics``, the
+        breakdown and the thread ratio stay the lead-device view.
+        """
         epochs = epochs or self.config.epochs
         wall_start = time.perf_counter()
         epoch_metrics = [self.run_epoch(e) for e in range(epochs)]
         wall_seconds = time.perf_counter() - wall_start
 
-        breakdown = self.device.breakdown()
-        memory_stats = self.device.memory_statistics()
+        devices = self.group.devices
+        category: Dict[str, float] = {}
+        for device in devices:
+            for cat, seconds in device.category_seconds().items():
+                category[cat] = category.get(cat, 0.0) + seconds
+        memory_stats = [device.memory_statistics() for device in devices]
         return TrainingResult(
             method=self.method_name,
             model=self.config.model,
             dataset=self.graph.name,
             epochs=epochs,
-            simulated_seconds=self.device.elapsed_seconds(),
+            simulated_seconds=self.group.makespan(),
             wall_seconds=wall_seconds,
             final_loss=epoch_metrics[-1].loss if epoch_metrics else 0.0,
             epoch_metrics=epoch_metrics,
-            breakdown=breakdown,
-            category_seconds=self.device.category_seconds(),
-            gpu_utilization=self.device.gpu_utilization(),
-            sm_utilization=self.device.sm_utilization(),
-            memory_requests=memory_stats["requests"],
-            memory_transactions=memory_stats["transactions"],
+            breakdown=self.device.breakdown(),
+            category_seconds=category,
+            gpu_utilization=float(np.mean([d.gpu_utilization() for d in devices])),
+            sm_utilization=float(np.mean([d.sm_utilization() for d in devices])),
+            memory_requests=sum(m["requests"] for m in memory_stats),
+            memory_transactions=sum(m["transactions"] for m in memory_stats),
             avg_thread_ratio=self.device.average_thread_ratio(),
-            peak_memory_bytes=self.device.peak_bytes,
-            kernel_launches=sum(s.launches for s in self.device.kernel_stats.values()),
+            peak_memory_bytes=max(d.peak_bytes for d in devices),
+            kernel_launches=sum(
+                s.launches for d in devices for s in d.kernel_stats.values()
+            ),
             extras=self._extra_metrics(),
         )
 

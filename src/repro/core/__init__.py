@@ -20,9 +20,8 @@ from repro.core.tuner import (
     TuningDecision,
     build_overlap_group,
 )
+from repro.core.placement import Placement
 from repro.core.trainer import PiPADTrainer
-from repro.core.distributed_trainer import DistributedConfig, DistributedTrainer
-from repro.core.pipeline_trainer import PipelineConfig, PipelineTrainer
 
 __all__ = [
     "PiPADConfig",
@@ -42,9 +41,6 @@ __all__ = [
     "OfflineAnalysis",
     "TuningDecision",
     "build_overlap_group",
+    "Placement",
     "PiPADTrainer",
-    "DistributedConfig",
-    "DistributedTrainer",
-    "PipelineConfig",
-    "PipelineTrainer",
 ]

@@ -217,12 +217,12 @@ def owner_hooks(owner: object) -> Callable[[], TelemetryCallback]:
 class Prefetcher:
     """Depth-bounded scheduler of pipe items onto one simulated device.
 
-    One prefetcher per device: the single-device trainer owns one, the
-    pipeline trainer one per stage, the distributed trainer one per shard and
-    the serving scheduler one per replica.  ``schedule`` lays the item's host
-    stages on the CPU stream and its transfer on the copy engine, gated so at
-    most ``depth`` items sit prepared-but-unconsumed; ``mark_consumed``
-    registers the compute op that read the item, releasing the oldest slot.
+    One prefetcher per device: the trainer owns one per device of its
+    placement (stage or shard) and the serving scheduler one per replica.
+    ``schedule`` lays the item's host stages on the CPU stream and its
+    transfer on the copy engine, gated so at most ``depth`` items sit
+    prepared-but-unconsumed; ``mark_consumed`` registers the compute op that
+    read the item, releasing the oldest slot.
     """
 
     def __init__(

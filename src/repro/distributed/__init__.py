@@ -10,14 +10,13 @@ lives next to its single-device counterparts so each layer stays cohesive:
   :class:`~repro.gpu.device_group.DeviceGroup` (``repro.gpu``) model the
   NVLink/PCIe peer links and coordinate ``K`` simulated-GPU timelines with
   cross-device dependency edges and ring collectives;
-- :class:`~repro.core.distributed_trainer.DistributedTrainer`
-  (``repro.core``) runs data-parallel PiPAD training over the shards with
-  halo exchanges, state all-gathers and per-frame gradient all-reduce;
-- :class:`~repro.core.pipeline_trainer.PipelineTrainer` (``repro.core``) is
-  the frame-pipeline alternative: a
-  :class:`~repro.graph.partition.FramePartitioner` shards the *snapshot
-  groups* instead of the node set, and the recurrent state hops between
-  stages over point-to-point ``DeviceGroup.send`` transfers;
+- :class:`~repro.core.trainer.PiPADTrainer` (``repro.core``) runs PiPAD
+  training on a multi-device :class:`~repro.core.placement.Placement`:
+  ``group`` shards the node set (halo exchanges, state all-gathers,
+  per-frame gradient all-reduce); ``pipeline`` has a
+  :class:`~repro.graph.partition.FramePartitioner` shard the *snapshot
+  groups* instead, and the recurrent state hops between stages over
+  point-to-point ``DeviceGroup.send`` transfers;
 - :class:`FleetServingEngine` (here) is the multi-replica entry point for
   the streaming serving scheduler: requests fan out across per-device
   serving replicas that share one snapshot store.  Its
@@ -28,8 +27,6 @@ lives next to its single-device counterparts so each layer stays cohesive:
   ``fleet``).
 """
 
-from repro.core.distributed_trainer import DistributedConfig, DistributedTrainer
-from repro.core.pipeline_trainer import PipelineConfig, PipelineTrainer
 from repro.distributed.fleet import (
     FleetConfig,
     FleetServingEngine,
@@ -51,8 +48,6 @@ from repro.graph.partition import (
 __all__ = [
     "COMM_STREAM",
     "DeviceGroup",
-    "DistributedConfig",
-    "DistributedTrainer",
     "FleetConfig",
     "FleetServingEngine",
     "FramePartitioner",
@@ -63,8 +58,6 @@ __all__ = [
     "NVLINK",
     "PARTITION_MODES",
     "PCIE_PEER",
-    "PipelineConfig",
-    "PipelineTrainer",
     "RESOURCE_PEER_LINK",
     "SCHEDULE_MODES",
     "ScaleEvent",

@@ -3,11 +3,11 @@
 Not a paper artifact: the paper trains on one V100.  This experiment answers
 the question its production deployment would ask next — how does the
 pipelined training time scale when the node set is sharded across a device
-group?  For each device count it trains the same workload through
-:class:`~repro.core.distributed_trainer.DistributedTrainer` and reports the
-steady-state epoch time, the speedup and parallel efficiency over the
-single-device run, and the per-steady-epoch time spent in each collective
-(halo exchange, state all-gather, gradient all-reduce).
+group?  For each device count it trains the same workload on the ``group``
+placement (``device.kind = "group"``) and reports the steady-state epoch
+time, the speedup and parallel efficiency over the single-device run, and
+the per-steady-epoch time spent in each collective (halo exchange, state
+all-gather, gradient all-reduce).
 """
 
 from __future__ import annotations
@@ -16,13 +16,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.api.engine import Engine
 from repro.api.spec import DeviceSpec
-from repro.core.distributed_trainer import COLLECTIVE_KEYS
 from repro.experiments.common import (
     ExperimentConfig,
     format_table,
     load_experiment_graph,
     method_spec,
 )
+from repro.gpu.device_group import COLLECTIVE_KEYS
 
 #: device counts swept by default (1 is the reference run)
 DEFAULT_DEVICE_COUNTS = (1, 2, 4, 8)

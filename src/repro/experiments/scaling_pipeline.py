@@ -1,16 +1,15 @@
 """Frame-pipeline scaling of PiPAD training across devices (repro extension).
 
 The pipeline counterpart of :mod:`~repro.experiments.scaling_multi_gpu`: for
-each device count the same workload trains through
-:class:`~repro.core.pipeline_trainer.PipelineTrainer` (``device.kind =
-"pipeline"``), which shards the *frame* — snapshot groups — across stages
-instead of the node set.  The table reports the steady-state epoch time,
-speedup and parallel efficiency over the one-device run, the **pipeline
-bubble** (device-seconds each stage stalls on the cross-stage state chain
-beyond its own local readiness) and the point-to-point state-handoff time —
-itemized against the ``group`` topology's steady epoch and gradient
-all-reduce time on the identical workload, so the two parallelism modes'
-communication regimes are directly comparable.
+each device count the same workload trains on the ``pipeline`` placement
+(``device.kind = "pipeline"``), which shards the *frame* — snapshot groups —
+across stages instead of the node set.  The table reports the steady-state
+epoch time, speedup and parallel efficiency over the one-device run, the
+**pipeline bubble** (device-seconds each stage stalls on the cross-stage
+state chain beyond its own local readiness) and the point-to-point
+state-handoff time — itemized against the ``group`` topology's steady epoch
+and gradient all-reduce time on the identical workload, so the two
+parallelism modes' communication regimes are directly comparable.
 
 Both topologies run with the same fixed partition size (``fixed_s_per``), so
 every row trains bit-identically to the single-device run; only the schedule

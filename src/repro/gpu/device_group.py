@@ -4,8 +4,8 @@
 timelines that share a single simulated clock: a :class:`~repro.gpu.timeline.
 TimelineOp` only carries start/end times, so an op scheduled on one device
 can appear in another device's ``depends_on`` list — that is the
-cross-device dependency edge the distributed trainer uses to order shard
-compute after remote halo data has arrived.
+cross-device dependency edge the node-sharded (``group``) placement uses to
+order shard compute after remote halo data has arrived.
 
 Collectives (``all_reduce``, ``all_gather``, ``halo_exchange``) are
 bulk-synchronous: every participant starts at the same instant — the latest
@@ -13,7 +13,7 @@ readiness over all devices' dependencies, communication engines and streams
 — and occupies its ``peer_link`` resource for the ring-cost duration from
 :class:`~repro.gpu.interconnect.Interconnect`.  Point-to-point ``send``
 transfers involve only their two endpoints and occupy both of their
-``peer_link`` engines — the primitive the frame-pipeline trainer hands
+``peer_link`` engines — the primitive the ``pipeline`` placement hands
 recurrent state (and state gradients) between stages with.
 """
 
@@ -30,6 +30,17 @@ from repro.gpu.timeline import TimelineOp
 RESOURCE_PEER_LINK = "peer_link"
 #: the FIFO stream collectives are issued on (mirrors NCCL's comm stream)
 COMM_STREAM = "comm"
+
+#: ``TrainingResult.extras`` keys itemizing a multi-device run's
+#: communication, one per kind of :attr:`DeviceGroup.collective_seconds`
+#: (consumed by the scaling experiments and ``RunReport``'s collective
+#: breakdown)
+COLLECTIVE_KEYS = (
+    "halo_exchange_seconds",
+    "all_gather_seconds",
+    "all_reduce_seconds",
+    "peer_transfer_seconds",
+)
 
 #: per-device dependency lists: one sequence of ops per group member
 PerDeviceDeps = Optional[Sequence[Optional[Sequence[TimelineOp]]]]
@@ -212,7 +223,8 @@ class DeviceGroup:
         ``peer_link`` engines for the transfer duration (a busy link delays
         collectives and further sends alike).  Dependents on the receiving
         device should wait on ``recv_op`` — that is the cross-device edge the
-        pipeline trainer uses to hand the recurrent state to the next stage.
+        ``pipeline`` placement uses to hand the recurrent state to the next
+        stage.
 
         Unlike the collectives, ``depends_on`` is a plain op sequence (only
         the two endpoints participate, so there is no per-device fan-out).

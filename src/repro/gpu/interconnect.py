@@ -45,7 +45,8 @@ NVLINK = LinkSpec(bandwidth_gbs=25.0, latency_us=2.0)
 #: PCIe 3.0 peer-to-peer through the switch: lower bandwidth, higher latency
 PCIE_PEER = LinkSpec(bandwidth_gbs=10.0, latency_us=10.0)
 
-_LINK_KINDS = {"nvlink": NVLINK, "pcie": PCIE_PEER}
+#: link models by interconnect kind
+LINK_KINDS = {"nvlink": NVLINK, "pcie": PCIE_PEER}
 
 
 class Interconnect:
@@ -60,16 +61,16 @@ class Interconnect:
     ) -> None:
         check_positive("num_devices", num_devices)
         if link is None:
-            if kind not in _LINK_KINDS:
+            if kind not in LINK_KINDS:
                 raise ValueError(
-                    f"unknown interconnect kind {kind!r}; expected one of {sorted(_LINK_KINDS)}"
+                    f"unknown interconnect kind {kind!r}; expected one of {sorted(LINK_KINDS)}"
                 )
-            link = _LINK_KINDS[kind]
+            link = LINK_KINDS[kind]
         else:
             # An explicit LinkSpec overrides ``kind``; report the model that is
             # actually in effect rather than echoing a possibly-wrong label.
             kind = next(
-                (name for name, spec in _LINK_KINDS.items() if spec == link),
+                (name for name, spec in LINK_KINDS.items() if spec == link),
                 "custom",
             )
         self.num_devices = num_devices

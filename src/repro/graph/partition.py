@@ -146,7 +146,7 @@ class GraphPartitioner:
         ``node_weight`` is the cost of one node's dense (update/RNN) work
         expressed in units of one edge's aggregation work; the boundaries
         balance ``Σ degree + node_weight·|nodes|`` per shard.  The
-        distributed trainer calibrates it from the preparing-epoch kernel
+        ``group`` placement calibrates it from the preparing-epoch kernel
         statistics — dense-dominated models then shard close to node-uniform
         while aggregation-dominated ones follow the edge mass.
         """

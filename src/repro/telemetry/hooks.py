@@ -1,7 +1,7 @@
 """The callback layer: instrumentation hooks decoupled from any exporter.
 
-Trainers (:class:`~repro.baselines.base.DGNNTrainerBase` and its PiPAD /
-distributed / pipeline subclasses), the :class:`~repro.gpu.device_group.
+Trainers (:class:`~repro.baselines.base.DGNNTrainerBase` and PiPAD on any
+device placement), the :class:`~repro.gpu.device_group.
 DeviceGroup` collectives and the serving schedulers all emit their events
 against the :class:`TelemetryCallback` interface — a null object whose
 methods are all no-ops — so the execution machinery never imports a tracer,

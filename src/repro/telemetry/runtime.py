@@ -69,9 +69,7 @@ class Telemetry:
         """Point a trainer's hook emissions (and its device group's
         collective notifications) at this runtime."""
         trainer.hooks = self.hooks
-        group = getattr(trainer, "group", None)
-        if group is not None:
-            group.add_observer(self.hooks.on_collective)
+        trainer.group.add_observer(self.hooks.on_collective)
 
     def attach_serving(self, engine: Any) -> None:
         """Point a serving engine (single scheduler, or a multi-replica
@@ -83,13 +81,10 @@ class Telemetry:
     # ------------------------------------------------------------------ tracks
     def training_tracks(self, trainer: Any) -> List[TraceTrack]:
         """One track per training device (``gpu0`` .. ``gpuK-1``)."""
-        group = getattr(trainer, "group", None)
-        if group is not None:
-            return [
-                TraceTrack(f"gpu{i}", device.timeline, domain="train")
-                for i, device in enumerate(group.devices)
-            ]
-        return [TraceTrack("gpu0", trainer.device.timeline, domain="train")]
+        return [
+            TraceTrack(f"gpu{i}", device.timeline, domain="train")
+            for i, device in enumerate(trainer.group.devices)
+        ]
 
     def serving_tracks(self, engine: Any) -> List[TraceTrack]:
         """One track per serving device (``serve_gpu0`` .. )."""

@@ -11,6 +11,11 @@ from typing import Any, Iterable, Optional, Sequence, Tuple, Type
 import numpy as np
 
 
+def known_choices(valid: Iterable[str]) -> str:
+    """Sorted, comma-separated names for a "valid choices" error message."""
+    return ", ".join(sorted(valid))
+
+
 def check_positive(name: str, value: float) -> None:
     """Raise ``ValueError`` unless ``value`` is strictly positive."""
     if not value > 0:

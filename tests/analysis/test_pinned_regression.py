@@ -39,7 +39,7 @@ class TestPinnedStagingCharge:
     def test_peak_pinned_never_exceeds_budget(self):
         engine = Engine.from_spec(cached_spec())
         engine.train()
-        cache = engine.trainer.feature_cache
+        cache = engine.trainer.feature_caches[0]
         capacity = cache.tiers[TIER_PINNED].capacity_bytes
         assert capacity is not None and capacity > 0
         # Staging actually flowed through the tier...
@@ -57,7 +57,7 @@ class TestPinnedStagingCharge:
     def test_staging_reservations_fully_drain_or_stay_bounded(self):
         engine = Engine.from_spec(cached_spec())
         engine.train()
-        cache = engine.trainer.feature_cache
+        cache = engine.trainer.feature_caches[0]
         tier = cache.tiers[TIER_PINNED]
         # Residency plus whatever staging is still in flight at the end of
         # the run must sit inside the tier capacity (the invariant the old
@@ -74,6 +74,6 @@ class TestPinnedStagingCharge:
         shallow.train()
         deep = Engine.from_spec(cached_spec())
         deep.train()
-        shallow_peak = shallow.trainer.feature_cache.peak_pinned_bytes
-        deep_peak = deep.trainer.feature_cache.peak_pinned_bytes
+        shallow_peak = shallow.trainer.feature_caches[0].peak_pinned_bytes
+        deep_peak = deep.trainer.feature_caches[0].peak_pinned_bytes
         assert deep_peak >= shallow_peak > 0.0

@@ -144,6 +144,80 @@ class TestSpecLintRules:
             assert violation.severity == SEVERITY_WARNING
             assert switch in violation.message
 
+    @pytest.mark.parametrize(
+        "device, knob",
+        [
+            ({"kind": "group", "num_devices": 4, "schedule": "blocked"}, "schedule"),
+            ({"kind": "single", "schedule": "blocked"}, "schedule"),
+            ({"kind": "pipeline", "num_devices": 2, "partition_mode": "nodes"},
+             "partition_mode"),
+            ({"kind": "single", "interconnect": "pcie"}, "interconnect"),
+        ],
+    )
+    def test_dead_device_knobs_warn(self, device, knob):
+        (violation,) = fired(make_spec(device=device), "spec-dead-device-knobs")
+        assert violation.severity == SEVERITY_WARNING
+        assert f"device.{knob}" in violation.message
+        assert repr(device["kind"]) in violation.message
+
+    def test_dead_device_knobs_silent_where_they_are_read(self):
+        for device in (
+            {"kind": "group", "num_devices": 2, "partition_mode": "nodes",
+             "interconnect": "pcie"},
+            {"kind": "pipeline", "num_devices": 2, "schedule": "blocked",
+             "interconnect": "pcie"},
+        ):
+            assert not fired(make_spec(device=device), "spec-dead-device-knobs")
+
+    def test_idle_pipeline_stages(self):
+        # frame 8 / s_per 2 -> 4 snapshot groups per frame for 16 stages.
+        device = {"kind": "pipeline", "num_devices": 16}
+        spec = make_spec(frame_size=8, pipad={"fixed_s_per": 2}, device=device)
+        (violation,) = fired(spec, "spec-idle-pipeline-stages")
+        assert violation.severity == SEVERITY_WARNING
+        assert "12 stage(s) never get work" in violation.message
+        # The smallest tuner candidate bounds the group count without a fixed size.
+        busy = make_spec(frame_size=8, device=dict(device, num_devices=4))
+        assert not fired(busy, "spec-idle-pipeline-stages")
+        assert not fired(
+            make_spec(device={"kind": "group", "num_devices": 16}),
+            "spec-idle-pipeline-stages",
+        )
+
+    def test_no_steady_epochs(self):
+        pipeline = {"kind": "pipeline", "num_devices": 4}
+        spec = make_spec(epochs=1, device=pipeline, data={"prefetch_depth": 4})
+        (violation,) = fired(spec, "spec-no-steady-epochs")
+        assert violation.severity == SEVERITY_WARNING
+        assert "device.kind='pipeline'" in violation.message
+        assert "data.prefetch_depth" in violation.message
+        knob_only = make_spec(epochs=1, data={"pin_memory": False})
+        (violation,) = fired(knob_only, "spec-no-steady-epochs")
+        assert "data.pin_memory" in violation.message
+        longer_prep = make_spec(epochs=2, pipad={"preparing_epochs": 2}, device=pipeline)
+        assert fired(longer_prep, "spec-no-steady-epochs")
+        for quiet in (
+            make_spec(epochs=2, device=pipeline),
+            make_spec(epochs=1),
+            make_spec(epochs=3, pipad={"preparing_epochs": 2}, device=pipeline),
+            make_spec(method="pygt", epochs=1, data={"prefetch_depth": 4}),
+        ):
+            assert not fired(quiet, "spec-no-steady-epochs")
+
+    def test_new_lints_silent_on_shipped_specs_and_presets(self):
+        from repro.api.cli import PRESETS
+
+        spec_dir = Path(__file__).resolve().parents[2] / "specs"
+        specs = [RunSpec.load(path) for path in sorted(spec_dir.glob("*.json"))]
+        specs += [RunSpec.from_dict(preset) for preset in PRESETS.values()]
+        for spec in specs:
+            for check in (
+                "spec-dead-device-knobs",
+                "spec-idle-pipeline-stages",
+                "spec-no-steady-epochs",
+            ):
+                assert not fired(spec, check), (spec, check)
+
 
 class TestRegistry:
     def test_catalog_covers_both_families(self):

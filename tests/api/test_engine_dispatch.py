@@ -16,15 +16,7 @@ from repro.baselines import (
     PyGTTrainer,
     TrainerConfig,
 )
-from repro.core import (
-    DistributedConfig,
-    DistributedTrainer,
-    PiPADConfig,
-    PiPADTrainer,
-    PipelineConfig,
-    PipelineTrainer,
-)
-from repro.core.distributed_trainer import DistributedTrainer as CoreDistributedTrainer
+from repro.core import PiPADConfig, PiPADTrainer, Placement
 from repro.distributed import FleetServingEngine
 from repro.graph import load_dataset
 from repro.serving import IncrementalSnapshotStore, ServingConfig, ServingScheduler
@@ -55,8 +47,9 @@ class TestTrainerDispatch:
             method="pipad", device=DeviceSpec(kind="group", num_devices=2), **_QUICK
         )
         engine = Engine.from_spec(spec)
-        assert type(engine.trainer) is CoreDistributedTrainer
-        assert engine.trainer.dist.num_devices == 2
+        assert type(engine.trainer) is PiPADTrainer
+        assert engine.trainer.placement == Placement(kind="group", num_devices=2)
+        assert engine.trainer.method_name == "PiPAD-DP"
 
     def test_group_device_settings_reach_trainer(self):
         spec = RunSpec(
@@ -67,8 +60,8 @@ class TestTrainerDispatch:
             **_QUICK,
         )
         trainer = Engine.from_spec(spec).trainer
-        assert trainer.dist.interconnect == "pcie"
-        assert trainer.dist.partition_mode == "nodes"
+        assert trainer.placement.interconnect == "pcie"
+        assert trainer.placement.partition_mode == "nodes"
         assert len(trainer.group.devices) == 3
 
     def test_pipeline_device_resolves_pipeline_trainer(self):
@@ -76,8 +69,9 @@ class TestTrainerDispatch:
             method="pipad", device=DeviceSpec(kind="pipeline", num_devices=2), **_QUICK
         )
         engine = Engine.from_spec(spec)
-        assert type(engine.trainer) is PipelineTrainer
-        assert engine.trainer.pipe.num_devices == 2
+        assert type(engine.trainer) is PiPADTrainer
+        assert engine.trainer.placement == Placement(kind="pipeline", num_devices=2)
+        assert engine.trainer.method_name == "PiPAD-PP"
 
     def test_pipeline_device_settings_reach_trainer(self):
         spec = RunSpec(
@@ -88,8 +82,8 @@ class TestTrainerDispatch:
             **_QUICK,
         )
         trainer = Engine.from_spec(spec).trainer
-        assert trainer.pipe.interconnect == "pcie"
-        assert trainer.pipe.schedule == "blocked"
+        assert trainer.placement.interconnect == "pcie"
+        assert trainer.placement.schedule == "blocked"
         assert len(trainer.group.devices) == 4
 
 
@@ -190,11 +184,11 @@ class TestParityWithOldEntryPoints:
         new = Engine.from_spec(spec).train()
 
         graph = load_dataset("covid19_england", seed=0, num_snapshots=8)
-        old = DistributedTrainer(
+        old = PiPADTrainer(
             graph,
             TrainerConfig(model="tgcn", frame_size=4, epochs=2),
             PiPADConfig(),
-            DistributedConfig(num_devices=2),
+            placement=Placement(kind="group", num_devices=2),
         ).train()
         assert new.loss_curve() == old.loss_curve()
         assert new.simulated_seconds == old.simulated_seconds
@@ -275,11 +269,11 @@ class TestShippedSpecs:
         report = Engine.from_spec(SPEC_DIR / "train_distributed_4gpu.json").run()
         training = report.training
         graph = load_dataset("flickr", seed=0, num_snapshots=12)
-        old = DistributedTrainer(
+        old = PiPADTrainer(
             graph,
             TrainerConfig(model="tgcn", frame_size=8, epochs=3, cost_scale=5000.0),
             PiPADConfig(),
-            DistributedConfig(num_devices=4, interconnect="nvlink"),
+            placement=Placement(kind="group", num_devices=4, interconnect="nvlink"),
         ).train()
         assert training.final_loss == old.final_loss
         assert training.loss_curve() == old.loss_curve()
@@ -293,11 +287,11 @@ class TestShippedSpecs:
         report = Engine.from_spec(SPEC_DIR / "train_pipeline_4gpu.json").run()
         training = report.training
         graph = load_dataset("flickr", seed=0, num_snapshots=12)
-        old = PipelineTrainer(
+        old = PiPADTrainer(
             graph,
             TrainerConfig(model="evolvegcn", frame_size=8, epochs=3, cost_scale=5000.0),
             PiPADConfig(fixed_s_per=2),
-            PipelineConfig(num_devices=4, interconnect="nvlink"),
+            placement=Placement(kind="pipeline", num_devices=4, interconnect="nvlink"),
         ).train()
         assert training.final_loss == old.final_loss
         assert training.loss_curve() == old.loss_curve()

@@ -17,13 +17,10 @@ from repro.baselines import TrainerConfig
 from repro.core import (
     DataPipe,
     DataPipeConfig,
-    DistributedConfig,
-    DistributedTrainer,
     PiPADConfig,
     PiPADTrainer,
     PipeItem,
-    PipelineConfig,
-    PipelineTrainer,
+    Placement,
     Prefetcher,
     STAGE_REGISTRY,
     build_datapipe,
@@ -293,11 +290,11 @@ class TestTrainerParity:
     def test_pipeline_trainer_parity_and_prefetch_wins(self, small_graph):
         results = {}
         for depth in (0, 2):
-            results[depth] = PipelineTrainer(
+            results[depth] = PiPADTrainer(
                 small_graph,
                 _config(cost_scale=2000.0),
                 _pipad(),
-                PipelineConfig(num_devices=3),
+                placement=Placement(kind="pipeline", num_devices=3),
                 data_config=DataPipeConfig(prefetch_depth=depth),
             ).train()
         assert results[0].loss_curve() == results[2].loss_curve()
@@ -307,11 +304,11 @@ class TestTrainerParity:
     def test_distributed_trainer_parity(self, small_graph):
         results = {}
         for depth in (0, 2):
-            results[depth] = DistributedTrainer(
+            results[depth] = PiPADTrainer(
                 small_graph,
                 _config(cost_scale=2000.0),
                 _pipad(),
-                DistributedConfig(num_devices=4),
+                placement=Placement(kind="group", num_devices=4),
                 data_config=DataPipeConfig(prefetch_depth=depth),
             ).train()
         assert results[0].loss_curve() == results[2].loss_curve()
@@ -334,7 +331,7 @@ class TestTrainerParity:
         )
         assert trainer.data.prefetch_depth == 0
         assert trainer.data.pin_memory is False
-        assert trainer.prefetcher.depth == 0
+        assert trainer.prefetchers[0].depth == 0
 
 
 class TestServingParity:

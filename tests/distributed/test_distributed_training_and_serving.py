@@ -1,4 +1,5 @@
-"""Tests for the data-parallel trainer and the replicated serving preset."""
+"""Tests for node-sharded training (``Placement(kind="group")``) and the
+replicated serving preset."""
 
 from __future__ import annotations
 
@@ -8,12 +9,7 @@ import numpy as np
 import pytest
 
 from repro.baselines import TrainerConfig
-from repro.core import (
-    DistributedConfig,
-    DistributedTrainer,
-    PiPADConfig,
-    PiPADTrainer,
-)
+from repro.core import PiPADConfig, PiPADTrainer, Placement
 from repro.distributed import FleetConfig, build_fleet_serving_engine
 from repro.nn import build_model
 from repro.serving import synthesize_serving_trace
@@ -41,11 +37,11 @@ class TestDistributedTrainer:
         single = PiPADTrainer(
             small_graph, trainer_config, PiPADConfig(preparing_epochs=1)
         ).train()
-        sharded = DistributedTrainer(
+        sharded = PiPADTrainer(
             small_graph,
             trainer_config,
             PiPADConfig(preparing_epochs=1),
-            DistributedConfig(num_devices=4),
+            placement=Placement(kind="group", num_devices=4),
         ).train()
         assert sharded.final_loss == single.final_loss
         assert sharded.method == "PiPAD-DP"
@@ -53,22 +49,22 @@ class TestDistributedTrainer:
     def test_four_devices_beat_one(self, small_graph, dist_trainer_config):
         results = {}
         for devices in (1, 4):
-            results[devices] = DistributedTrainer(
+            results[devices] = PiPADTrainer(
                 small_graph,
                 dist_trainer_config,
                 PiPADConfig(preparing_epochs=1),
-                DistributedConfig(num_devices=devices),
+                placement=Placement(kind="group", num_devices=devices),
             ).train()
         assert (
             results[4].steady_epoch_seconds < results[1].steady_epoch_seconds
         )
 
     def test_collectives_reported(self, small_graph, dist_trainer_config):
-        result = DistributedTrainer(
+        result = PiPADTrainer(
             small_graph,
             dist_trainer_config,
             PiPADConfig(preparing_epochs=1),
-            DistributedConfig(num_devices=2),
+            placement=Placement(kind="group", num_devices=2),
         ).train()
         assert result.extras["num_devices"] == 2.0
         assert result.extras["all_reduce_seconds"] > 0
@@ -77,11 +73,11 @@ class TestDistributedTrainer:
         assert result.breakdown["collective_all_reduce"] > 0
 
     def test_single_device_has_no_collectives(self, small_graph, trainer_config):
-        result = DistributedTrainer(
+        result = PiPADTrainer(
             small_graph,
             trainer_config,
             PiPADConfig(preparing_epochs=1),
-            DistributedConfig(num_devices=1),
+            placement=Placement(kind="group", num_devices=1),
         ).train()
         assert "all_reduce_seconds" not in result.extras
         assert result.extras["halo_feature_bytes"] == 0.0
@@ -89,11 +85,11 @@ class TestDistributedTrainer:
     def test_result_aggregates_cover_the_whole_group(self, small_graph, dist_trainer_config):
         """Regression: category/launch/memory counters reported only the lead
         device's ~1/K shard while breakdown summed all devices."""
-        trainer = DistributedTrainer(
+        trainer = PiPADTrainer(
             small_graph,
             dist_trainer_config,
             PiPADConfig(preparing_epochs=1),
-            DistributedConfig(num_devices=4),
+            placement=Placement(kind="group", num_devices=4),
         )
         result = trainer.train()
         expected_category = {}
@@ -111,11 +107,11 @@ class TestDistributedTrainer:
         )
 
     def test_makespan_covers_every_device(self, small_graph, dist_trainer_config):
-        trainer = DistributedTrainer(
+        trainer = PiPADTrainer(
             small_graph,
             dist_trainer_config,
             PiPADConfig(preparing_epochs=1),
-            DistributedConfig(num_devices=3),
+            placement=Placement(kind="group", num_devices=3),
         )
         result = trainer.train()
         assert result.simulated_seconds == pytest.approx(trainer.group.makespan())
@@ -124,11 +120,11 @@ class TestDistributedTrainer:
             assert device.elapsed_seconds() <= result.simulated_seconds
 
     def test_replanning_balances_dense_work(self, small_graph, dist_trainer_config):
-        trainer = DistributedTrainer(
+        trainer = PiPADTrainer(
             small_graph,
             dist_trainer_config,
             PiPADConfig(preparing_epochs=1),
-            DistributedConfig(num_devices=4),
+            placement=Placement(kind="group", num_devices=4),
         )
         trainer.train()
         # TGCN is RNN/update dominated, so the calibrated plan must not give
@@ -138,17 +134,17 @@ class TestDistributedTrainer:
     def test_pcie_interconnect_slower_than_nvlink(self, small_graph, dist_trainer_config):
         times = {}
         for kind in ("nvlink", "pcie"):
-            times[kind] = DistributedTrainer(
+            times[kind] = PiPADTrainer(
                 small_graph,
                 dist_trainer_config,
                 PiPADConfig(preparing_epochs=1),
-                DistributedConfig(num_devices=4, interconnect=kind),
+                placement=Placement(kind="group", num_devices=4, interconnect=kind),
             ).train().steady_epoch_seconds
         assert times["nvlink"] <= times["pcie"]
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):
-            DistributedConfig(num_devices=0)
+            Placement(kind="group", num_devices=0)
 
     def test_scaling_experiment_requires_single_device_reference(self):
         from repro.experiments import run_experiment

@@ -1,11 +1,11 @@
-"""Tests for frame-pipeline training across a simulated device group."""
+"""Tests for frame-pipeline training (``Placement(kind="pipeline")``)."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.baselines import TrainerConfig
-from repro.core import PiPADConfig, PiPADTrainer, PipelineConfig, PipelineTrainer
+from repro.core import PiPADConfig, PiPADTrainer, Placement
 
 
 def _config(model: str = "tgcn") -> TrainerConfig:
@@ -16,17 +16,22 @@ def _pipad() -> PiPADConfig:
     return PiPADConfig(preparing_epochs=1, fixed_s_per=2)
 
 
+def _stages(num_devices: int, **kwargs) -> Placement:
+    return Placement(kind="pipeline", num_devices=num_devices, **kwargs)
+
+
 class TestPipelineConfig:
     def test_defaults_validate(self):
-        config = PipelineConfig()
+        config = Placement(kind="pipeline", num_devices=2)
         assert config.num_devices == 2
         assert config.schedule == "round_robin"
+        assert config.method_name == "PiPAD-PP"
 
     def test_invalid_inputs_rejected(self):
         with pytest.raises(ValueError):
-            PipelineConfig(num_devices=0)
+            Placement(kind="pipeline", num_devices=0)
         with pytest.raises(ValueError):
-            PipelineConfig(schedule="random")
+            Placement(kind="pipeline", schedule="random")
 
 
 class TestNumerics:
@@ -35,11 +40,11 @@ class TestNumerics:
         """Acceptance invariant: pipelining changes when work runs, never
         what is computed — every model trains bit-identically to plain PiPAD."""
         single = PiPADTrainer(small_graph, _config(model), _pipad()).train()
-        pipelined = PipelineTrainer(
+        pipelined = PiPADTrainer(
             small_graph,
             _config(model),
             _pipad(),
-            PipelineConfig(num_devices=3),
+            placement=_stages(3),
         ).train()
         assert pipelined.loss_curve() == single.loss_curve()
         assert pipelined.final_loss == single.final_loss
@@ -47,19 +52,19 @@ class TestNumerics:
     def test_schedule_does_not_change_numerics(self, small_graph):
         losses = {}
         for schedule in ("round_robin", "blocked"):
-            trainer = PipelineTrainer(
+            trainer = PiPADTrainer(
                 small_graph,
                 _config(),
                 _pipad(),
-                PipelineConfig(num_devices=2, schedule=schedule),
+                placement=_stages(2, schedule=schedule),
             )
             losses[schedule] = trainer.train().loss_curve()
         assert losses["round_robin"] == losses["blocked"]
 
     def test_single_stage_degenerates_to_plain_pipad(self, small_graph):
         single = PiPADTrainer(small_graph, _config(), _pipad()).train()
-        one_stage = PipelineTrainer(
-            small_graph, _config(), _pipad(), PipelineConfig(num_devices=1)
+        one_stage = PiPADTrainer(
+            small_graph, _config(), _pipad(), placement=_stages(1)
         ).train()
         assert one_stage.loss_curve() == single.loss_curve()
         assert one_stage.simulated_seconds == pytest.approx(single.simulated_seconds)
@@ -75,14 +80,14 @@ class TestSchedule:
             model="evolvegcn", frame_size=4, epochs=3, cost_scale=2000.0
         )
         single = PiPADTrainer(small_graph, config, _pipad()).train()
-        pipelined = PipelineTrainer(
-            small_graph, config, _pipad(), PipelineConfig(num_devices=2)
+        pipelined = PiPADTrainer(
+            small_graph, config, _pipad(), placement=_stages(2)
         ).train()
         assert pipelined.steady_epoch_seconds < single.steady_epoch_seconds
 
     def test_multi_stage_run_itemizes_pipeline_costs(self, small_graph):
-        trainer = PipelineTrainer(
-            small_graph, _config(), _pipad(), PipelineConfig(num_devices=2)
+        trainer = PiPADTrainer(
+            small_graph, _config(), _pipad(), placement=_stages(2)
         )
         result = trainer.train()
         assert result.extras["num_devices"] == 2.0
@@ -93,8 +98,8 @@ class TestSchedule:
         assert "halo_exchange_seconds" not in result.extras
 
     def test_work_lands_on_every_stage(self, small_graph):
-        trainer = PipelineTrainer(
-            small_graph, _config(), _pipad(), PipelineConfig(num_devices=2)
+        trainer = PiPADTrainer(
+            small_graph, _config(), _pipad(), placement=_stages(2)
         )
         trainer.train()
         for device in trainer.group:
@@ -102,27 +107,27 @@ class TestSchedule:
             assert "kernel" in kinds and "h2d" in kinds
 
     def test_preparing_epochs_stay_on_the_lead_device(self, small_graph):
-        trainer = PipelineTrainer(
+        trainer = PiPADTrainer(
             small_graph,
             _config(),
             PiPADConfig(preparing_epochs=1, fixed_s_per=2),
-            PipelineConfig(num_devices=3),
+            placement=_stages(3),
         )
         trainer.run_epoch(0)  # preparing epoch
         assert trainer.group.devices[1].timeline.ops == []
         assert trainer.group.devices[2].timeline.ops == []
 
     def test_group_makespan_is_the_result_clock(self, small_graph):
-        trainer = PipelineTrainer(
-            small_graph, _config(), _pipad(), PipelineConfig(num_devices=2)
+        trainer = PiPADTrainer(
+            small_graph, _config(), _pipad(), placement=_stages(2)
         )
         result = trainer.train()
         assert result.simulated_seconds == pytest.approx(trainer.group.makespan())
 
     def test_deterministic_across_runs(self, small_graph):
         def run():
-            return PipelineTrainer(
-                small_graph, _config(), _pipad(), PipelineConfig(num_devices=2)
+            return PiPADTrainer(
+                small_graph, _config(), _pipad(), placement=_stages(2)
             ).train()
 
         first, second = run(), run()

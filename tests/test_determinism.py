@@ -12,12 +12,7 @@ one-byte diff.
 from __future__ import annotations
 
 from repro.baselines import TrainerConfig
-from repro.core import (
-    DistributedConfig,
-    DistributedTrainer,
-    PiPADConfig,
-    PiPADTrainer,
-)
+from repro.core import PiPADConfig, PiPADTrainer, Placement
 from repro.gpu import SimulatedGPU
 from repro.nn import build_model
 from repro.serving import (
@@ -49,11 +44,11 @@ def train_pipad(small_graph):
 
 def train_distributed(small_graph):
     config = TrainerConfig(model="tgcn", frame_size=4, epochs=2, seed=0, cost_scale=100.0)
-    trainer = DistributedTrainer(
+    trainer = PiPADTrainer(
         small_graph,
         config,
         PiPADConfig(preparing_epochs=1),
-        DistributedConfig(num_devices=3),
+        placement=Placement(kind="group", num_devices=3),
     )
     trainer.train()
     return trainer
