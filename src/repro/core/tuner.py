@@ -18,6 +18,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.graph.csr import CSRMatrix
+from repro.graph.keys import difference, sorted_unique, union
 from repro.gpu.spec import GPUSpec
 from repro.kernels.gemm import update_gemm_cost
 from repro.kernels.spmm_sliced import SlicedParallelAggregation
@@ -64,25 +65,23 @@ def build_overlap_group(
             cols = rng.integers(0, num_nodes, size=need, dtype=np.int64)
             mask = rows != cols
             fresh = rows[mask] * num_nodes + cols[mask]
-            fresh = np.setdiff1d(fresh, forbidden, assume_unique=False)
-            keys = np.union1d(keys, fresh)
-        return rng.permutation(keys)[:count]
+            fresh = difference(sorted_unique(fresh), forbidden)
+            keys = union(keys, fresh)
+        # sampled sets come back sorted; the permutation picks the subset
+        return np.sort(rng.permutation(keys)[:count])
 
-    core = sample(core_size, np.zeros(0, dtype=np.int64)) if core_size else np.zeros(0, dtype=np.int64)
-    used = core.copy()
+    empty = np.zeros(0, dtype=np.int64)
+    core = sample(core_size, empty) if core_size else empty
+    used = core
     exclusives: List[np.ndarray] = []
     for _ in range(group_size):
-        exclusive = (
-            sample(exclusive_size, used) if exclusive_size else np.zeros(0, dtype=np.int64)
-        )
-        used = np.union1d(used, exclusive)
+        exclusive = sample(exclusive_size, used) if exclusive_size else empty
+        used = union(used, exclusive)
         exclusives.append(exclusive)
 
-    overlap_mat = CSRMatrix.from_edge_keys(np.sort(core), shape)
-    exclusive_mats = [CSRMatrix.from_edge_keys(np.sort(e), shape) for e in exclusives]
-    full = [
-        CSRMatrix.from_edge_keys(np.union1d(core, e), shape) for e in exclusives
-    ]
+    overlap_mat = CSRMatrix.from_edge_keys(core, shape)
+    exclusive_mats = [CSRMatrix.from_edge_keys(e, shape) for e in exclusives]
+    full = [CSRMatrix.from_edge_keys(union(core, e), shape) for e in exclusives]
     return overlap_mat, exclusive_mats, full
 
 

@@ -52,6 +52,9 @@ class COOMatrix:
         n_rows, n_cols = self.shape
         if len(rows) and (rows.max(initial=0) >= n_rows or cols.max(initial=0) >= n_cols):
             raise ValueError("coordinate out of bounds for shape")
+        for name, coords in (("rows", rows), ("cols", cols)):
+            if len(coords) and coords.min() < 0:
+                raise ValueError(f"{name} must be non-negative")
         object.__setattr__(self, "rows", np.ascontiguousarray(rows, dtype=np.int64))
         object.__setattr__(self, "cols", np.ascontiguousarray(cols, dtype=np.int64))
         object.__setattr__(self, "values", np.ascontiguousarray(values, dtype=np.float32))

@@ -5,6 +5,11 @@ operate on: ``indptr`` gives per-row extents, ``indices``/``data`` the
 column coordinates and values.  The paper's GE-SpMM baseline additionally
 requires the CSC transpose for backward propagation (§5.2), which is exposed
 here via :meth:`CSRMatrix.transpose`.
+
+Adjacencies are built in NumPy straight from sorted edge keys
+(:meth:`CSRMatrix.from_edge_keys`), the working form of the overlap path.
+SciPy is used only for numerics (the sparse @ dense product, the transpose)
+and for cold conversions to and from its own formats.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.graph.coo import INDEX_BYTES, VALUE_BYTES, COOMatrix
+from repro.graph.keys import is_sorted_unique
 from repro.utils.validation import check_array
 
 
@@ -50,12 +56,14 @@ class CSRMatrix:
             raise ValueError(f"indptr must have length n_rows+1={n_rows + 1}, got {len(indptr)}")
         if indptr[0] != 0 or indptr[-1] != len(indices):
             raise ValueError("indptr must start at 0 and end at nnz")
-        if np.any(np.diff(indptr) < 0):
+        if (indptr[1:] < indptr[:-1]).any():
             raise ValueError("indptr must be non-decreasing")
         if len(indices) != len(data):
             raise ValueError("indices and data must have equal length")
         if len(indices) and indices.max(initial=0) >= n_cols:
             raise ValueError("column index out of bounds")
+        if len(indices) and indices.min() < 0:
+            raise ValueError("indices must be non-negative")
         object.__setattr__(self, "indptr", np.ascontiguousarray(indptr, dtype=np.int64))
         object.__setattr__(self, "indices", np.ascontiguousarray(indices, dtype=np.int64))
         object.__setattr__(self, "data", np.ascontiguousarray(data, dtype=np.float32))
@@ -76,15 +84,42 @@ class CSRMatrix:
     def from_edges(
         cls, rows: np.ndarray, cols: np.ndarray, shape: Tuple[int, int]
     ) -> "CSRMatrix":
-        """Build an unweighted CSR adjacency from (deduplicated) edge lists."""
-        return COOMatrix.from_edges(rows, cols, shape).to_csr()
+        """Build an unweighted CSR adjacency from edge lists (duplicates dropped)."""
+        rows = np.asarray(rows, dtype=np.int64)
+        cols = np.asarray(cols, dtype=np.int64)
+        if len(rows) != len(cols):
+            raise ValueError(f"rows/cols must have equal length, got {len(rows)}/{len(cols)}")
+        n_rows, n_cols = shape
+        if len(rows) and (
+            rows.min() < 0 or rows.max() >= n_rows or cols.min() < 0 or cols.max() >= n_cols
+        ):
+            raise ValueError("coordinate out of bounds for shape")
+        return cls.from_edge_keys(rows * n_cols + cols, shape)
 
     @classmethod
     def from_edge_keys(cls, keys: np.ndarray, shape: Tuple[int, int]) -> "CSRMatrix":
-        """Build from flat ``row * n_cols + col`` edge keys (values set to 1)."""
+        """Build from flat ``row * n_cols + col`` edge keys (values set to 1).
+
+        Sorted, duplicate-free keys (the overlap path's working form) are
+        used as they are; any other input is deduplicated with one sort.
+        """
         keys = np.asarray(keys, dtype=np.int64)
-        rows, cols = np.divmod(keys, shape[1])
-        return cls.from_edges(rows, cols, shape)
+        if not is_sorted_unique(keys):
+            keys = np.unique(keys)
+        if not len(keys):
+            return cls.empty(shape)
+        n_rows, n_cols = shape
+        if keys[0] < 0 or keys[-1] >= n_rows * n_cols:
+            raise ValueError(f"edge keys must be in [0, {n_rows * n_cols}) for shape {shape}")
+        rows, cols = np.divmod(keys, n_cols)
+        indptr = np.zeros(n_rows + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=n_rows), out=indptr[1:])
+        return cls(
+            indptr=indptr,
+            indices=cols,
+            data=np.ones(len(keys), dtype=np.float32),
+            shape=shape,
+        )
 
     @classmethod
     def empty(cls, shape: Tuple[int, int]) -> "CSRMatrix":
@@ -121,7 +156,8 @@ class CSRMatrix:
         """Sorted flat ``row * n_cols + col`` keys identifying each edge."""
         rows = np.repeat(np.arange(self.num_rows, dtype=np.int64), self.row_nnz())
         keys = rows * self.num_cols + self.indices
-        return np.sort(keys)
+        # Built from sorted keys, the rows' columns are already in order.
+        return keys if is_sorted_unique(keys) else np.sort(keys)
 
     # -- conversions & numerics -------------------------------------------
     def to_scipy(self) -> sp.csr_matrix:

@@ -31,6 +31,7 @@ import numpy as np
 
 from repro.graph.csr import CSRMatrix
 from repro.graph.dynamic_graph import DynamicGraph
+from repro.graph.keys import sorted_unique, union
 from repro.graph.smoothing import apply_edge_life
 from repro.graph.snapshot import GraphSnapshot
 from repro.utils.rng import SeedLike, as_rng
@@ -56,7 +57,7 @@ def _sample_edges_uniform(num_nodes: int, num_edges: int, rng: np.random.Generat
         cols = rng.integers(0, num_nodes, size=need, dtype=np.int64)
         mask = rows != cols
         new = rows[mask] * num_nodes + cols[mask]
-        keys = np.union1d(keys, new)
+        keys = union(keys, sorted_unique(new))
     return rng.permutation(keys)[:num_edges]
 
 
@@ -76,7 +77,7 @@ def _sample_edges_preferential(
         cols = rng.integers(0, num_nodes, size=need, dtype=np.int64)
         mask = rows != cols
         new = rows[mask] * num_nodes + cols[mask]
-        keys = np.union1d(keys, new)
+        keys = union(keys, sorted_unique(new))
     return rng.permutation(keys)[:num_edges]
 
 
@@ -112,7 +113,7 @@ def _sample_edges_community(
                 cols[i] = rng.integers(0, num_nodes)
         mask = rows != cols
         new = rows[mask] * num_nodes + cols[mask]
-        keys = np.union1d(keys, new)
+        keys = union(keys, sorted_unique(new))
     return rng.permutation(keys)[:num_edges]
 
 

@@ -18,6 +18,7 @@ from typing import Deque, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.graph.csr import CSRMatrix
+from repro.graph.keys import difference, intersect, locate, readonly, sorted_unique, union
 
 
 @dataclass(frozen=True)
@@ -76,14 +77,10 @@ def extract_overlap(adjacencies: Sequence[CSRMatrix]) -> SnapshotOverlap:
         if adj.shape != shape:
             raise ValueError("all adjacencies in a group must share the same shape")
     key_sets = [adj.edge_keys() for adj in adjacencies]
-    if len(key_sets) == 1:
-        overlap_keys = key_sets[0]
-    else:
-        overlap_keys = reduce(lambda a, b: np.intersect1d(a, b, assume_unique=True), key_sets)
-    union_keys = reduce(lambda a, b: np.union1d(a, b), key_sets) if len(key_sets) > 1 else key_sets[0]
+    overlap_keys = reduce(intersect, key_sets)
+    union_keys = reduce(union, key_sets)
     exclusives = [
-        CSRMatrix.from_edge_keys(np.setdiff1d(keys, overlap_keys, assume_unique=True), shape)
-        for keys in key_sets
+        CSRMatrix.from_edge_keys(difference(keys, overlap_keys), shape) for keys in key_sets
     ]
     overlap = CSRMatrix.from_edge_keys(overlap_keys, shape)
     rate = float(len(overlap_keys) / len(union_keys)) if len(union_keys) else 1.0
@@ -95,7 +92,7 @@ def pairwise_overlap_rate(a: CSRMatrix, b: CSRMatrix) -> float:
     ka, kb = a.edge_keys(), b.edge_keys()
     if len(ka) == 0 and len(kb) == 0:
         return 1.0
-    inter = len(np.intersect1d(ka, kb, assume_unique=True))
+    inter = len(intersect(ka, kb))
     union = len(ka) + len(kb) - inter
     return inter / union if union else 1.0
 
@@ -141,18 +138,13 @@ def refine_overlap(decomposition: SnapshotOverlap, indices: Sequence[int]) -> Sn
     shape = decomposition.overlap.shape
     base_keys = decomposition.overlap.edge_keys()
     exclusive_keys = [decomposition.exclusives[i].edge_keys() for i in indices]
-    promoted = reduce(
-        lambda a, b: np.intersect1d(a, b, assume_unique=True), exclusive_keys
-    )
-    overlap_keys = np.union1d(base_keys, promoted)
+    promoted = reduce(intersect, exclusive_keys)
+    overlap_keys = union(base_keys, promoted)
     exclusives = [
-        CSRMatrix.from_edge_keys(np.setdiff1d(keys, promoted, assume_unique=True), shape)
-        for keys in exclusive_keys
+        CSRMatrix.from_edge_keys(difference(keys, promoted), shape) for keys in exclusive_keys
     ]
     # base overlap and every exclusive are disjoint, so |∪| decomposes.
-    union_size = len(base_keys) + len(
-        reduce(np.union1d, exclusive_keys) if len(exclusive_keys) > 1 else exclusive_keys[0]
-    )
+    union_size = len(base_keys) + len(reduce(union, exclusive_keys))
     rate = float(len(overlap_keys) / union_size) if union_size else 1.0
     return SnapshotOverlap(
         overlap=CSRMatrix.from_edge_keys(overlap_keys, shape),
@@ -212,31 +204,25 @@ class IncrementalOverlapTracker:
             self._count_vals = self._count_vals[alive]
 
     def _increment(self, keys: np.ndarray) -> None:
-        if not len(keys):
-            return
-        if len(self._count_keys):
-            idx = np.searchsorted(self._count_keys, keys)
-            clipped = np.minimum(idx, len(self._count_keys) - 1)
-            present = self._count_keys[clipped] == keys
-            self._count_vals[idx[present]] += 1
-            fresh = keys[~present]
-        else:
-            fresh = keys
-        if len(fresh):
-            merged_keys = np.concatenate([self._count_keys, fresh])
-            merged_vals = np.concatenate(
-                [self._count_vals, np.ones(len(fresh), dtype=np.int64)]
-            )
-            order = np.argsort(merged_keys, kind="stable")
-            self._count_keys = merged_keys[order]
-            self._count_vals = merged_vals[order]
+        at, present = locate(keys, self._count_keys)
+        self._count_vals[at[present]] += 1
+        if not present.all():
+            # new keys are inserted at their sorted positions, no re-sort
+            fresh = ~present
+            self._count_keys = np.insert(self._count_keys, at[fresh], keys[fresh])
+            self._count_vals = np.insert(self._count_vals, at[fresh], 1)
 
     def push(self, version: int, adjacency_or_keys) -> Optional[int]:
-        """Append a snapshot version; returns the evicted version, if any."""
+        """Append a snapshot version; returns the evicted version, if any.
+
+        The window keeps a read-only view of the keys: they may be shared
+        with the caller and with other versions.
+        """
         if isinstance(adjacency_or_keys, CSRMatrix):
             keys = adjacency_or_keys.edge_keys()
         else:
-            keys = np.unique(np.asarray(adjacency_or_keys, dtype=np.int64))
+            keys = sorted_unique(np.asarray(adjacency_or_keys, dtype=np.int64))
+        keys = readonly(keys)
         evicted: Optional[int] = None
         if len(self._window) == self.capacity:
             evicted_version, evicted_keys = self._window.popleft()
@@ -256,9 +242,7 @@ class IncrementalOverlapTracker:
             full = len(self._window)
             overlap_keys = self._count_keys[self._count_vals == full]
             exclusives = [
-                CSRMatrix.from_edge_keys(
-                    np.setdiff1d(keys, overlap_keys, assume_unique=True), self.shape
-                )
+                CSRMatrix.from_edge_keys(difference(keys, overlap_keys), self.shape)
                 for _, keys in self._window
             ]
             union_size = len(self._count_keys)

@@ -9,11 +9,11 @@ densifies snapshots and raises the topology overlap between neighbours.
 
 from __future__ import annotations
 
+from functools import reduce
 from typing import List, Sequence
 
-import numpy as np
-
 from repro.graph.csr import CSRMatrix
+from repro.graph.keys import union
 from repro.utils.validation import check_positive
 
 
@@ -46,10 +46,7 @@ def apply_edge_life(
     smoothened: List[CSRMatrix] = []
     for t in range(len(adjacencies)):
         window = keys[max(0, t - edge_life + 1) : t + 1]
-        union = window[0]
-        for extra in window[1:]:
-            union = np.union1d(union, extra)
-        smoothened.append(CSRMatrix.from_edge_keys(union, shape))
+        smoothened.append(CSRMatrix.from_edge_keys(reduce(union, window), shape))
     return smoothened
 
 

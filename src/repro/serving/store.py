@@ -28,6 +28,7 @@ import numpy as np
 
 from repro.graph.csr import CSRMatrix
 from repro.graph.dynamic_graph import DynamicGraph
+from repro.graph.keys import difference, intersect, sorted_unique, union
 from repro.graph.overlap import IncrementalOverlapTracker, SnapshotOverlap, refine_overlap
 from repro.graph.snapshot import GraphSnapshot
 from repro.gpu.spec import HostSpec
@@ -83,7 +84,6 @@ class IncrementalSnapshotStore:
         self.host = host or HostSpec()
         self._tracker = IncrementalOverlapTracker(shape, window)
         self._window: Deque[GraphSnapshot] = deque()
-        self._keys: Dict[int, np.ndarray] = {}
         #: refined subgroup decompositions, valid until the next delta
         self._refined_cache: Dict[Tuple[int, ...], SnapshotOverlap] = {}
         self._version = seeds[0].timestep - 1
@@ -96,13 +96,10 @@ class IncrementalSnapshotStore:
                     targets=snap.targets,
                     timestep=version,
                 )
-            keys = snap.adjacency.edge_keys()
-            self._tracker.push(version, keys)
+            self._tracker.push(version, snap.adjacency)
             self._window.append(snap)
             if len(self._window) > window:
-                evicted = self._window.popleft()
-                del self._keys[evicted.timestep]
-            self._keys[version] = keys
+                self._window.popleft()
             self._version = version
         self.deltas_applied = 0
 
@@ -225,12 +222,13 @@ class IncrementalSnapshotStore:
         self._validate_delta(delta)
         head = self._window[-1]
         n = self.num_nodes
-        current = self._keys[self._version]
-
-        removed_keys = np.intersect1d(delta.removed_keys(n), current, assume_unique=False)
-        survivors = np.setdiff1d(current, removed_keys, assume_unique=False)
-        added_keys = np.setdiff1d(delta.added_keys(n), current, assume_unique=False)
-        new_keys = np.union1d(survivors, added_keys)
+        # The tracker's window holds each version's sorted, read-only keys;
+        # only the delta's keys need sorting.
+        current = self._tracker.keys_of(self._version)
+        removed_keys = intersect(sorted_unique(delta.removed_keys(n)), current)
+        survivors = difference(current, removed_keys)
+        added_keys = difference(sorted_unique(delta.added_keys(n)), current)
+        new_keys = union(survivors, added_keys)
 
         if len(removed_keys) or len(added_keys):
             adjacency = CSRMatrix.from_edge_keys(new_keys, head.adjacency.shape)
@@ -250,9 +248,7 @@ class IncrementalSnapshotStore:
         self._refined_cache.clear()
         self._window.append(snapshot)
         if len(self._window) > self.window_capacity:
-            old = self._window.popleft()
-            del self._keys[old.timestep]
-        self._keys[new_version] = new_keys
+            self._window.popleft()
 
         touched = self._touched_rows(delta, added_keys, removed_keys, new_keys)
         report = DeltaReport(

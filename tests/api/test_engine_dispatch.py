@@ -42,7 +42,7 @@ class TestTrainerDispatch:
         engine = Engine.from_spec(RunSpec(method=method, **_QUICK))
         assert type(engine.trainer) is expected
 
-    def test_group_device_resolves_distributed_trainer(self):
+    def test_group_device_resolves_group_placement(self):
         spec = RunSpec(
             method="pipad", device=DeviceSpec(kind="group", num_devices=2), **_QUICK
         )
@@ -64,7 +64,7 @@ class TestTrainerDispatch:
         assert trainer.placement.partition_mode == "nodes"
         assert len(trainer.group.devices) == 3
 
-    def test_pipeline_device_resolves_pipeline_trainer(self):
+    def test_pipeline_device_resolves_pipeline_placement(self):
         spec = RunSpec(
             method="pipad", device=DeviceSpec(kind="pipeline", num_devices=2), **_QUICK
         )

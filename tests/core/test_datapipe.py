@@ -287,7 +287,7 @@ class TestTrainerParity:
             curves.append(trainer.train().loss_curve())
         assert curves[0] == curves[1] == curves[2]
 
-    def test_pipeline_trainer_parity_and_prefetch_wins(self, small_graph):
+    def test_pipeline_placement_parity_and_prefetch_wins(self, small_graph):
         results = {}
         for depth in (0, 2):
             results[depth] = PiPADTrainer(
@@ -301,7 +301,7 @@ class TestTrainerParity:
         # Overlapping host prep with device compute must not slow the run.
         assert results[2].simulated_seconds <= results[0].simulated_seconds
 
-    def test_distributed_trainer_parity(self, small_graph):
+    def test_group_placement_parity(self, small_graph):
         results = {}
         for depth in (0, 2):
             results[depth] = PiPADTrainer(

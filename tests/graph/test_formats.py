@@ -40,6 +40,13 @@ class TestCOO:
                 values=np.array([1.0], dtype=np.float32), shape=(3, 3),
             )
 
+    @pytest.mark.parametrize("field", ["rows", "cols"])
+    def test_negative_coordinate_rejected(self, field):
+        coords = {"rows": np.array([0, 1]), "cols": np.array([1, 0])}
+        coords[field] = np.array([0, -1])
+        with pytest.raises(ValueError, match=field):
+            COOMatrix(**coords, values=np.ones(2, dtype=np.float32), shape=(2, 2))
+
     def test_roundtrip_through_csr(self):
         rows, cols = random_edges(0, 20, 60)
         coo = COOMatrix.from_edges(rows, cols, (20, 20))
@@ -91,9 +98,81 @@ class TestCSR:
                 data=np.array([1.0], dtype=np.float32), shape=(1, 3),
             )
 
+    def test_negative_index_rejected(self):
+        with pytest.raises(ValueError, match="indices"):
+            CSRMatrix(
+                indptr=np.array([0, 1, 2]), indices=np.array([-1, 0]),
+                data=np.ones(2, dtype=np.float32), shape=(2, 2),
+            )
+
     def test_with_values_preserves_pattern(self, random_csr):
         new = random_csr.with_values(np.full(random_csr.nnz, 2.0, dtype=np.float32))
         assert np.allclose(new.to_dense(), 2.0 * random_csr.to_dense())
+
+
+def _oracle_csr(keys: np.ndarray, shape) -> CSRMatrix:
+    """The scipy round trip ``from_edge_keys`` replaced: COO -> scipy -> CSR."""
+    rows, cols = np.divmod(np.asarray(keys, dtype=np.int64), shape[1])
+    return COOMatrix.from_edges(rows, cols, shape).to_csr()
+
+
+def _assert_same_csr(got: CSRMatrix, want: CSRMatrix) -> None:
+    assert got.shape == want.shape
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype, name
+        np.testing.assert_array_equal(a, b, err_msg=name)
+
+
+class TestFromEdgeKeysOracle:
+    """The NumPy builder against the scipy path it replaced, array for array."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_unsorted_duplicated_keys_on_rectangular_shapes(self, seed):
+        rng = np.random.default_rng(seed)
+        shape = (int(rng.integers(1, 25)), int(rng.integers(1, 25)))
+        size = int(rng.integers(0, 3 * shape[0] * shape[1]))
+        keys = rng.integers(0, shape[0] * shape[1], size=size)
+        _assert_same_csr(CSRMatrix.from_edge_keys(keys, shape), _oracle_csr(keys, shape))
+        sorted_keys = np.unique(keys)
+        _assert_same_csr(
+            CSRMatrix.from_edge_keys(sorted_keys, shape), _oracle_csr(sorted_keys, shape)
+        )
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_from_edges_matches_oracle(self, seed):
+        rows, cols = random_edges(seed, 17, 80)
+        _assert_same_csr(
+            CSRMatrix.from_edges(rows, cols, (17, 17)),
+            COOMatrix.from_edges(rows, cols, (17, 17)).to_csr(),
+        )
+
+    def test_empty_keys(self):
+        keys = np.zeros(0, dtype=np.int64)
+        _assert_same_csr(CSRMatrix.from_edge_keys(keys, (3, 5)), _oracle_csr(keys, (3, 5)))
+
+    def test_trailing_empty_rows(self):
+        keys = np.array([0, 4, 7, 9], dtype=np.int64)  # rows 0..2 of a (8, 4) matrix
+        built = CSRMatrix.from_edge_keys(keys, (8, 4))
+        _assert_same_csr(built, _oracle_csr(keys, (8, 4)))
+        assert built.row_nnz()[3:].sum() == 0
+
+    def test_last_valid_key(self):
+        shape = (6, 7)
+        keys = np.array([0, shape[0] * shape[1] - 1], dtype=np.int64)
+        built = CSRMatrix.from_edge_keys(keys, shape)
+        _assert_same_csr(built, _oracle_csr(keys, shape))
+        assert built.to_dense()[-1, -1] == 1.0
+
+    @pytest.mark.parametrize("bad", [-1, 6 * 7])
+    def test_key_out_of_range_rejected(self, bad):
+        with pytest.raises(ValueError):
+            CSRMatrix.from_edge_keys(np.array([3, bad], dtype=np.int64), (6, 7))
+
+    @pytest.mark.parametrize("rows, cols", [([0, -1], [1, 1]), ([0, 1], [2, 1])])
+    def test_from_edges_coordinate_out_of_range_rejected(self, rows, cols):
+        with pytest.raises(ValueError):
+            CSRMatrix.from_edges(np.array(rows), np.array(cols), (2, 2))
 
 
 class TestSlicedCSR:

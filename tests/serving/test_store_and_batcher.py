@@ -106,6 +106,21 @@ class TestIncrementalSnapshotStore:
             rebuilt = np.union1d(sub.overlap.edge_keys(), exclusive.edge_keys())
             assert np.array_equal(rebuilt, snapshots[position].adjacency.edge_keys())
 
+    def test_stored_key_arrays_are_read_only(self, make_snapshot_store):
+        """Versions may share one key array, so none of them may be written."""
+        store = make_snapshot_store(window=3)
+        rng = np.random.default_rng(2)
+        delta, _ = random_delta(store.head.adjacency.edge_keys(), store.num_nodes, rng)
+        store.apply(delta)
+        store.apply(GraphDelta.empty())  # the new version aliases its parent's keys
+        versions = store.window_versions()
+        assert store._tracker.keys_of(versions[-1]) is store._tracker.keys_of(versions[-2])
+        for version in versions:
+            keys = store._tracker.keys_of(version)
+            assert not keys.flags.writeable
+            with pytest.raises(ValueError):
+                keys[0] = -1
+
     def test_single_snapshot_store(self, small_graph):
         store = IncrementalSnapshotStore(small_graph[0], window=2)
         assert store.window_size == 1
